@@ -9,7 +9,7 @@ FUZZ_BUDGET ?= 200
 FAULT_SEED ?= 0
 FAULT_CASES ?= 200
 
-.PHONY: test test-quick fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check
+.PHONY: test test-quick fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check perfbench-selftest
 
 ## Full tier-1 suite (includes the marked oracle fuzz and fault tests).
 test:
@@ -116,3 +116,9 @@ bench-coldpath:
 ## pick-rate/overhead/kernel/store/serve/coldpath gates.
 bench-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.bench --check
+
+## The repository benchmark's self-tests (perfbench/, ~1 min): every
+## metric per workload, seeded determinism, and the writer/serve
+## protocol the workloads drive.  Not tier-1.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench -q

@@ -29,11 +29,16 @@ Contract points the callers rely on (and the tests pin):
   :meth:`~KeyedLRU.get_or_compute` runs *outside* the lock — two
   threads may both compute a missed key (one result wins the slot),
   but a slow compile can never block every other cache user.
+* A forked child gets fresh, unheld locks: worker pools fork while
+  session threads use the caches, and a lock the parent's other
+  thread held at fork time would never be released in the child.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from collections import OrderedDict, namedtuple
 from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
 
@@ -56,7 +61,10 @@ class KeyedLRU(Generic[K, V]):
     debugger at once.
     """
 
-    __slots__ = ("_data", "_maxsize", "_hits", "_misses", "_name", "_lock")
+    __slots__ = (
+        "_data", "_maxsize", "_hits", "_misses", "_name", "_lock",
+        "__weakref__",
+    )
 
     def __init__(self, maxsize: int, name: str = "") -> None:
         if maxsize < 0:
@@ -67,6 +75,7 @@ class KeyedLRU(Generic[K, V]):
         self._misses = 0
         self._name = name
         self._lock = threading.RLock()
+        _CACHES.add(self)
 
     # -- the main path ---------------------------------------------------------
 
@@ -166,3 +175,16 @@ class KeyedLRU(Generic[K, V]):
             f"<KeyedLRU{label} {info.currsize}/{info.maxsize} entries, "
             f"{info.hits} hits, {info.misses} misses>"
         )
+
+
+#: Every live cache, so a forked child can give each a fresh lock.
+_CACHES: "weakref.WeakSet[KeyedLRU]" = weakref.WeakSet()
+
+
+def _fresh_locks() -> None:
+    for cache in list(_CACHES):
+        cache._lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_locks)

@@ -29,6 +29,8 @@ caller's, and no fallback could answer them.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -270,12 +272,34 @@ _ChunkPayload = Tuple[
     str,                    # on_exhausted: "degrade" | "raise"
 ]
 
+#: Guards every check-then-mutate block on the worker caches below.
+#: Server dispatch threads run :func:`_run_chunk` in-process, so two
+#: threads may warm chunks of one process's caches at once.  Held only
+#: around dict bookkeeping and file opens — never across unpickling,
+#: index builds or lane parsing.
+_WORKER_LOCK = threading.Lock()
+
+
+def _fresh_worker_lock() -> None:
+    """Give a forked worker an unheld lock: a pool may fork while a
+    dispatch thread holds the parent's, and that thread does not exist
+    in the child to release it."""
+    global _WORKER_LOCK
+    _WORKER_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_worker_lock)
+
 #: Worker-side warm state: (token, start, stop) → (trees, indexes).
 #: A persistent pool's worker fills this on its first batch over a
 #: corpus and then skips tree shipping, revalidation and index
 #: rebuilds on every later batch.  Only the latest token is retained,
 #: so the cache is bounded by one corpus's chunks.
 _WORKER_TREES: Dict[Tuple[str, int, int], Tuple] = {}
+
+#: The token every :data:`_WORKER_TREES` key carries.
+_WORKER_TOKEN: Optional[str] = None
 
 #: Returned by a worker asked to run a chunk from warm state it does
 #: not have (e.g. the worker process was restarted).  The parent then
@@ -297,13 +321,14 @@ def _shard_trees(shard: Tuple) -> Tuple[Tree, ...]:
 
     path, generation, lo, hi = shard[:4]
     key = (path, generation)
-    segment = _WORKER_SEGMENTS.get(key)
-    if segment is None:
-        for stale in [k for k in _WORKER_SEGMENTS if k[0] == path]:
-            _WORKER_SEGMENTS.pop(stale).close()
-        while len(_WORKER_SEGMENTS) >= 64:  # mmaps are cheap, not free
-            _WORKER_SEGMENTS.pop(next(iter(_WORKER_SEGMENTS))).close()
-        segment = _WORKER_SEGMENTS[key] = Segment(path)
+    with _WORKER_LOCK:
+        segment = _WORKER_SEGMENTS.get(key)
+        if segment is None:
+            for stale in [k for k in _WORKER_SEGMENTS if k[0] == path]:
+                _WORKER_SEGMENTS.pop(stale).close()
+            while len(_WORKER_SEGMENTS) >= 64:  # mmaps are cheap, not free
+                _WORKER_SEGMENTS.pop(next(iter(_WORKER_SEGMENTS))).close()
+            segment = _WORKER_SEGMENTS[key] = Segment(path)
     return segment.trees(lo, hi)
 
 
@@ -323,6 +348,8 @@ _WORKER_LANES: Dict[Tuple[str, int, int, int], Tuple] = {}
 
 
 def _evict_sidecar(key: Tuple[str, int]) -> None:
+    """Drop one sidecar and its lanes; the caller holds
+    :data:`_WORKER_LOCK`."""
     for lane_key in [k for k in _WORKER_LANES if k[:2] == key]:
         _WORKER_LANES.pop(lane_key)
     sidecar = _WORKER_SIDECARS.pop(key, None)
@@ -372,32 +399,38 @@ def _shard_lanes(
     if lanes is not None:
         return lanes
     side_key = (spath, tag)
-    if side_key in _WORKER_SIDECARS:
-        sidecar = _WORKER_SIDECARS[side_key]
-    else:
-        for stale in [
-            k for k in _WORKER_SIDECARS if k[0] == spath and k != side_key
-        ]:
-            _evict_sidecar(stale)
-        while len(_WORKER_SIDECARS) >= 64:
-            _evict_sidecar(next(iter(_WORKER_SIDECARS)))
-        sidecar = None
-        try:
-            candidate = Sidecar(spath)
-            if candidate.generation == tag and candidate.count >= hi:
-                sidecar = candidate
-            else:
-                candidate.close()
-        except (OSError, StoreError):
+    with _WORKER_LOCK:
+        if side_key in _WORKER_SIDECARS:
+            sidecar = _WORKER_SIDECARS[side_key]
+        else:
+            for stale in [
+                k for k in _WORKER_SIDECARS
+                if k[0] == spath and k != side_key
+            ]:
+                _evict_sidecar(stale)
+            while len(_WORKER_SIDECARS) >= 64:
+                _evict_sidecar(next(iter(_WORKER_SIDECARS)))
             sidecar = None
-        _WORKER_SIDECARS[side_key] = sidecar
+            try:
+                candidate = Sidecar(spath)
+                if candidate.generation == tag and candidate.count >= hi:
+                    sidecar = candidate
+                else:
+                    candidate.close()
+            except (OSError, StoreError):
+                sidecar = None
+            _WORKER_SIDECARS[side_key] = sidecar
     if sidecar is None:
         return None
     try:
         lanes = tuple(PackedIndex(sidecar.blob(i)) for i in range(lo, hi))
     except (StoreError, IndexFormatError, ValueError, IndexError):
         return None  # corrupt blob: fall back to rebuilding from records
-    _WORKER_LANES[lane_key] = lanes
+    with _WORKER_LOCK:
+        # Lanes view the sidecar's mmap: keep them only while the
+        # sidecar they came from is still the cached one.
+        if _WORKER_SIDECARS.get(side_key) is sidecar:
+            _WORKER_LANES[lane_key] = lanes
     return lanes
 
 
@@ -430,16 +463,19 @@ def _warm_chunk(
 ) -> Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]:
     """Swap freshly unpickled chunk trees for this worker's warm copies
     (building them on first sight).  Without a token, no caching."""
+    global _WORKER_TOKEN
     if token is None:
         return trees, None
     key = (token, start, stop)
     cached = _WORKER_TREES.get(key)
     if cached is not None and len(cached[0]) == len(trees):
         return cached
-    if any(existing[0] != token for existing in _WORKER_TREES):
-        _WORKER_TREES.clear()  # a new corpus: retire the old one's state
     indexes = tuple(index_for(tree) for tree in trees)
-    _WORKER_TREES[key] = (trees, indexes)
+    with _WORKER_LOCK:
+        if _WORKER_TOKEN != token:
+            _WORKER_TREES.clear()  # a new corpus: retire the old one's state
+            _WORKER_TOKEN = token
+        _WORKER_TREES[key] = (trees, indexes)
     return trees, indexes
 
 

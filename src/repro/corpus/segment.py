@@ -201,8 +201,8 @@ class SegmentWriter:
 
     def append_raw(self, payload: bytes, row: list) -> int:
         """Copy one already-pickled record (with its statistics row)
-        byte-for-byte — the compaction path, which repacks segments
-        without paying a pickle/unpickle round per tree."""
+        byte-for-byte — the compaction and replace paths, which rewrite
+        segments without paying a pickle/unpickle round per tree."""
         if self._sealed:
             raise StoreError("segment already sealed")
         self._offsets.append(self._position)
@@ -335,7 +335,7 @@ class Segment:
 
     def record_payload(self, position: int) -> bytes:
         """Record ``position``'s pickled bytes, unvalidated — paired
-        with :meth:`SegmentWriter.append_raw` for copying compaction."""
+        with :meth:`SegmentWriter.append_raw` for copying rewrites."""
         if not 0 <= position < self.tree_count:
             raise IndexError(position)
         start = self._offsets[position]

@@ -15,10 +15,12 @@ properties:
   their shard's byte range; the parent ships byte coordinates, not
   pickles, and warm workers keyed by ``(token, shard)`` skip even
   that;
-* **incremental repair** — :meth:`replace` with an edit site patches
-  the damaged tree's cached :class:`~repro.engine.index.TreeIndex`
-  through :func:`~repro.engine.index.repair_index` (a subtree splice,
-  ~an order of magnitude cheaper than a rebuild) and bumps the store
+* **incremental repair** — :meth:`replace` copies every untouched
+  record of the edited segment byte-for-byte, decodes at most the
+  edited one, and with an edit site patches the damaged tree's cached
+  :class:`~repro.engine.index.TreeIndex` through
+  :func:`~repro.engine.index.repair_index` (a subtree splice, ~an
+  order of magnitude cheaper than a rebuild); it bumps the store
   generation, which retires every worker's warm state and every
   statistics-keyed cached plan for the old corpus.
 
@@ -81,8 +83,10 @@ FORMAT_VERSION = 1
 #: few dozen files, not thousands.
 DEFAULT_SEGMENT_SIZE = 2048
 
-#: How many segments' trees the store keeps materialized for serial
-#: queries and point reads.  Bounds parent-side memory at roughly
+#: How many segments' trees the store keeps materialized for point
+#: reads (:meth:`CorpusStore.tree`).  Batches never use it — serial
+#: and fanned-out runs alike load shards through the executor's warm
+#: state — so it bounds point-read memory at roughly
 #: ``_LOADED_SEGMENTS * segment_size`` trees however big the store is.
 _LOADED_SEGMENTS = 8
 
@@ -491,9 +495,15 @@ class CorpusStore:
     ) -> None:
         """Replace the tree at ``position``; rewrites its segment.
 
+        Only the edited record is encoded: every other record and its
+        footer statistics row is copied byte-for-byte
+        (:meth:`SegmentWriter.append_raw`) into a write-aside file that
+        ``os.replace`` swaps in.
+
         With ``site`` (the root node of the edited subtree, as produced
-        by :meth:`Tree.replace_subtree`), the old tree's cached index is
-        spliced into the new tree's through
+        by :meth:`Tree.replace_subtree`), the old tree — the one record
+        unpickled, unless the point-read LRU holds its segment — has
+        its cached index spliced into the new tree's through
         :func:`~repro.engine.index.repair_index` instead of being
         rebuilt — the incremental path the ``store`` bench gates at
         ≥5x a fresh build.  Either way the store generation bumps, so
@@ -502,24 +512,32 @@ class CorpusStore:
         self._writable()
         segment_index, local = self._locate(position)
         entry = self._manifest["segments"][segment_index]
-        old_tree = self.tree(position)
+        segment = self._segment(segment_index)
+        loaded = self._loaded.get(segment_index)
         if site is not None:
+            old_tree = (
+                loaded[local] if loaded is not None else segment.tree(local)
+            )
             repaired = repair_index(index_for(old_tree), tree, site)
             adopt_index(tree, repaired)
         segment_path = os.path.join(self.path, entry["name"])
-        segment = self._segment(segment_index)
         # Splice the sidecar, not just the segment: unchanged records
-        # keep their blobs byte-for-byte, the edited record gets the
-        # repaired (or rebuilt) index serialized fresh.
-        old_blobs = (
-            self._valid_sidecar_blobs(segment_index)
-            if self._use_sidecars else None
+        # keep their blobs byte-for-byte (rebuilt from the records when
+        # no valid sidecar exists), the edited record gets the repaired
+        # (or rebuilt) index serialized fresh.
+        blobs = (
+            self._segment_blobs(segment_index) if self._use_sidecars else None
         )
         rewrite_path = segment_path + ".rewrite"
         writer = SegmentWriter(rewrite_path, entry["id"])
         try:
             for i in range(segment.tree_count):
-                writer.append(tree if i == local else segment.tree(i))
+                if i == local:
+                    writer.append(tree)
+                else:
+                    writer.append_raw(
+                        segment.record_payload(i), segment.stats_row(i)
+                    )
             footer = writer.seal()
         except BaseException:
             writer.abort()
@@ -539,19 +557,23 @@ class CorpusStore:
             entry["id"], footer, True,
             sidecar_gen=next_gen if self._use_sidecars else None,
         )
-        # Keep the edited segment warm: point reads and serial batches
-        # right after an edit are the repair path's whole point.
-        fresh = self._load_segment(segment_index)
-        patched = fresh[:local] + (tree,) + fresh[local + 1:]
-        self._loaded[segment_index] = patched
-        if self._use_sidecars:
-            if old_blobs is not None:
-                old_blobs[local] = serialize_index(index_for(tree))
-                new_blobs = old_blobs
-            else:
-                new_blobs = [serialize_index(index_for(t)) for t in patched]
-            write_sidecar(side_path, entry["id"], next_gen, new_blobs)
-        self._bump()
+        # A segment materialized for point reads stays so, patched
+        # with the new tree (whose index the repair just adopted); one
+        # that was not is left for the next read to load.
+        if loaded is not None:
+            self._loaded[segment_index] = (
+                loaded[:local] + (tree,) + loaded[local + 1:]
+            )
+        try:
+            if blobs is not None:
+                blobs[local] = serialize_index(index_for(tree))
+                write_sidecar(side_path, entry["id"], next_gen, blobs)
+        finally:
+            # The segment bytes have moved: bump even if the sidecar
+            # write failed, or this handle's warm worker state would go
+            # on answering for the old tree under the old token.  The
+            # manifest then names a missing sidecar, which rebuilds.
+            self._bump()
 
     # -- reading ------------------------------------------------------
 
@@ -587,7 +609,7 @@ class CorpusStore:
 
     def _load_segment(self, segment_index: int) -> Tuple[Tree, ...]:
         """This segment's trees, via a bounded LRU of materialized
-        segments — the serial query path's warm state."""
+        segments — the warm state of point reads (:meth:`tree`)."""
         cached = self._loaded.get(segment_index)
         if cached is not None:
             self._loaded.move_to_end(segment_index)
@@ -926,10 +948,11 @@ class CorpusStore:
         """Evaluate a query batch over trees ``[start, stop)`` of the
         store (default: all of it).
 
-        Serial runs materialize one segment at a time through the LRU;
-        worker runs ship shard coordinates — each routed worker mmaps
-        the segment and unpickles only its shard, keeping trees and
-        indexes warm under the store token until the generation moves.
+        Every chunk is a shard coordinate, serial or fanned out: the
+        parent (serially) or each routed worker mmaps the segment and
+        unpickles only its shard — or assembles it straight from the
+        index sidecar — keeping trees and indexes warm under the store
+        token until the generation moves.
         The service knobs (``budget_seconds``, ``on_exhausted``,
         ``route``, ``worker_retries``) pass through to
         :func:`~repro.corpus.executor.run_batch`, with dead routed

@@ -28,6 +28,8 @@ from repro.corpus import (
     StoreVersionError,
     recover_segment,
 )
+from repro.corpus import executor
+from repro.corpus import store as store_module
 from repro.corpus.query import (
     ask_query,
     caterpillar_query,
@@ -35,6 +37,9 @@ from repro.corpus.query import (
     select_query,
     xpath_query,
 )
+from repro.corpus.segment import _stats_row
+from repro.engine.index import index_for
+from repro.engine.stats import TreeStatistics
 from repro.trees.generators import random_tree
 
 pytestmark = pytest.mark.store
@@ -296,6 +301,180 @@ def test_replace_updates_answers_with_and_without_a_site(tmp_path):
         assert store.run(QUERIES, workers=2).rows == expected  # stale caches?
     with CorpusStore.open(str(tmp_path / "s")) as store:  # and on disk
         assert store.run(QUERIES).rows == expected
+
+
+def _edited(tree, seed):
+    """A single-subtree edit of ``tree`` and its splice site."""
+    site = tree.nodes[len(tree.nodes) // 2]
+    graft = random_tree(4, value_pool=(1, 2), max_children=3, seed=seed)
+    return tree.replace_subtree(site, graft), site
+
+
+def _segment_file(store, segment_index):
+    entry = store._manifest["segments"][segment_index]
+    return os.path.join(store.path, entry["name"])
+
+
+def test_replace_copies_untouched_records_byte_for_byte(tmp_path):
+    trees = _trees(12, seed=8)
+    with CorpusStore.create(str(tmp_path / "s"), segment_size=5) as store:
+        store.ingest(trees)
+        with Segment(_segment_file(store, 1)) as segment:
+            payloads = [segment.record_payload(i) for i in range(5)]
+            rows = [segment.stats_row(i) for i in range(5)]
+        edited, site = _edited(trees[6], seed=97)
+        store.replace(6, edited, site=site)
+        with Segment(_segment_file(store, 1)) as segment:
+            for i in (0, 2, 3, 4):
+                assert segment.record_payload(i) == payloads[i]
+                assert segment.stats_row(i) == rows[i]
+            assert segment.stats_row(1) == _stats_row(
+                TreeStatistics.from_tree(edited)
+            )
+            assert _same_tree(segment.tree(1), edited)
+
+
+@pytest.mark.parametrize("sidecars", [True, False], ids=["sidecar", "nosidecar"])
+@pytest.mark.parametrize("with_site", [True, False], ids=["site", "nosite"])
+def test_replace_unpickles_at_most_the_edited_record(
+    tmp_path, monkeypatch, with_site, sidecars
+):
+    trees = _trees(12, seed=9)
+    with CorpusStore.create(
+        str(tmp_path / "s"), segment_size=5, sidecars=sidecars
+    ) as store:
+        store.ingest(trees)
+        edited, site = _edited(trees[7], seed=96)
+        unpickled = []
+        original = Segment.tree
+
+        def counting(segment, position):
+            unpickled.append(position)
+            return original(segment, position)
+
+        monkeypatch.setattr(Segment, "tree", counting)
+        store.replace(7, edited, site=site if with_site else None)
+        assert unpickled == ([2] if with_site else [])
+        monkeypatch.undo()
+        trees[7] = edited
+        assert store.run(QUERIES).rows == _naive_corpus_rows(trees, QUERIES)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "cold"])
+def test_point_reads_after_replace_see_the_new_tree(
+    tmp_path, monkeypatch, cached
+):
+    trees = _trees(12, seed=10)
+    with CorpusStore.create(str(tmp_path / "s"), segment_size=5) as store:
+        store.ingest(trees)
+        if cached:
+            store.tree(5)  # materialize segment 1 for point reads
+        repaired = []
+        original = store_module.repair_index
+
+        def spying(old, new_tree, site):
+            repaired.append(original(old, new_tree, site))
+            return repaired[-1]
+
+        monkeypatch.setattr(store_module, "repair_index", spying)
+        edited, site = _edited(trees[8], seed=95)
+        store.replace(8, edited, site=site)
+        assert _same_tree(store.tree(8), edited)
+        if cached:
+            assert store.tree(8) is edited
+            assert index_for(store.tree(8)) is repaired[0]
+        trees[8] = edited
+        assert all(_same_tree(store.tree(i), t) for i, t in enumerate(trees))
+
+
+class _Crash(Exception):
+    """Stands in for the process dying at one step of a replace."""
+
+
+def _crash_before(*args, **kwargs):
+    raise _Crash()
+
+
+@pytest.mark.parametrize(
+    "step, outcome",
+    [
+        ("seal", "old"),
+        ("os.replace", "new"),
+        ("write_sidecar", "new"),
+        ("_save_manifest", "new"),
+    ],
+)
+def test_replace_crash_at_any_step_reopens_to_old_or_new(
+    tmp_path, monkeypatch, step, outcome
+):
+    """The commit point of a replace is the segment swap: a crash
+    before it leaves the old tree, one after it the new tree, and in
+    both cases the reopened store answers identically from sidecars
+    and from records."""
+    trees = _trees(12, seed=11)
+    root = str(tmp_path / "s")
+    store = CorpusStore.create(root, segment_size=5)
+    store.ingest(trees)
+    edited, site = _edited(trees[6], seed=94)
+    segment_path = _segment_file(store, 1)
+    if step == "seal":
+        seal = SegmentWriter.seal
+
+        def crashing_seal(writer):
+            seal(writer)
+            raise _Crash()
+
+        monkeypatch.setattr(SegmentWriter, "seal", crashing_seal)
+    elif step == "os.replace":
+        swap = os.replace
+
+        def crashing_swap(src, dst):
+            swap(src, dst)
+            if dst == segment_path:
+                raise _Crash()
+
+        monkeypatch.setattr(store_module.os, "replace", crashing_swap)
+    elif step == "write_sidecar":
+        monkeypatch.setattr(store_module, "write_sidecar", _crash_before)
+    else:
+        monkeypatch.setattr(CorpusStore, "_save_manifest", _crash_before)
+    with pytest.raises(_Crash):
+        store.replace(6, edited, site=site)
+    monkeypatch.undo()
+    store.close()
+    if outcome == "new":
+        trees[6] = edited
+    packed = QUERIES[:4]  # root-context IR plans: the sidecar transport
+    expected = _naive_corpus_rows(trees, packed)
+    with CorpusStore.open(root) as reopened:
+        assert all(
+            _same_tree(reopened.tree(i), t) for i, t in enumerate(trees)
+        )
+        lanes_before = len(executor._WORKER_LANES)
+        assert reopened.run(packed, engine="vectorized").rows == expected
+        assert len(executor._WORKER_LANES) > lanes_before  # packed path ran
+    monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
+    with CorpusStore.open(root) as rebuilt:
+        assert rebuilt.run(packed, engine="vectorized").rows == expected
+
+
+def test_failed_sidecar_write_still_retires_the_old_tree(tmp_path, monkeypatch):
+    """A replace whose sidecar write fails after the segment swap must
+    not leave this handle's warm batches answering for the old tree."""
+    trees = _trees(10, seed=12)
+    packed = QUERIES[:4]
+    with CorpusStore.create(str(tmp_path / "s"), segment_size=5) as store:
+        store.ingest(trees)
+        store.run(packed, engine="vectorized")  # warm lanes and segments
+        trees[2] = random_tree(12, value_pool=(1, 2), max_children=3, seed=93)
+        monkeypatch.setattr(store_module, "write_sidecar", _crash_before)
+        with pytest.raises(_Crash):
+            store.replace(2, trees[2])
+        monkeypatch.undo()
+        expected = _naive_corpus_rows(trees, packed)
+        assert store.run(packed, engine="vectorized").rows == expected
+    with CorpusStore.open(str(tmp_path / "s")) as reopened:
+        assert reopened.run(packed, engine="vectorized").rows == expected
 
 
 # ---------------------------------------------------------------------------

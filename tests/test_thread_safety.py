@@ -1,17 +1,25 @@
 """Concurrent-hammer regressions for the shared mutable state the
 query service leans on: :class:`repro.caching.KeyedLRU` (plan and
-index caches shared across session threads) and
-:class:`repro.resilience.log.ResilienceLog` (one log, many recorders).
+index caches shared across session threads),
+:class:`repro.resilience.log.ResilienceLog` (one log, many recorders)
+and the corpus executor's worker caches (chunks warmed in-process by
+many dispatch threads).
 
 Each hammer drives many threads through the full API mix and then
 checks *invariants*, not schedules: returned values are always correct
 for their key, caches never exceed their bound, counters add up
 exactly, and every mid-flight snapshot is internally consistent."""
 
+import os
+import sys
 import threading
 
+import pytest
+
 from repro.caching import KeyedLRU
+from repro.corpus import executor
 from repro.resilience.log import ResilienceLog
+from repro.trees import parse_term
 
 THREADS = 8
 ROUNDS = 400
@@ -100,6 +108,33 @@ class TestKeyedLRUHammer:
         assert info.hits + info.misses == THREADS
 
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_gets_an_unheld_lock(self):
+        """Worker pools fork while session threads use the caches; a
+        child must not inherit a lock another thread holds."""
+        cache = KeyedLRU(maxsize=4, name="fork")
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with cache._lock:  # a session thread mid-operation
+                held.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert held.wait(30)
+            pid = os.fork()
+            if pid == 0:  # the child: the holder thread is not here
+                os._exit(0 if cache._lock.acquire(timeout=5) else 1)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        _, status = os.waitpid(pid, 0)
+        assert not thread.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 class TestResilienceLogHammer:
     def test_counters_add_up_exactly_under_contention(self):
         log = ResilienceLog()
@@ -161,3 +196,44 @@ class TestResilienceLogHammer:
                 assert snap["calls"] == snap["fast_successes"]
 
         _run_threads(hammer)
+
+
+class TestWorkerCacheHammer:
+    def test_concurrent_chunk_warming_loses_no_window(self):
+        """Server dispatch threads warm chunks into one process's
+        ``_WORKER_TREES`` at once: no thread may trip over another's
+        insert, and no window may be lost."""
+        tree = parse_term("σ(δ, σ(δ))")
+        token = "hammer-token"
+        windows = 3_000
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def hammer(worker_id):
+            for i in range(windows):
+                start = worker_id * windows + i
+                trees, indexes = executor._warm_chunk(
+                    token, start, start + 1, (tree,)
+                )
+                assert trees == (tree,) and len(indexes) == 1
+
+        try:
+            _run_threads(hammer, count=4)
+            keys = set(executor._WORKER_TREES)
+        finally:
+            sys.setswitchinterval(saved)
+            executor._WORKER_TREES.clear()
+        assert keys == {
+            (token, start, start + 1) for start in range(4 * windows)
+        }
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_worker_gets_an_unheld_cache_lock(self):
+        """Pools fork workers while dispatch threads run chunks; a
+        child must never inherit the cache lock in its held state."""
+        with executor._WORKER_LOCK:  # a dispatch thread mid-bookkeeping
+            pid = os.fork()
+            if pid == 0:  # the child: the lock's holder is not here
+                os._exit(0 if executor._WORKER_LOCK.acquire(timeout=5) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
