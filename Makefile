@@ -9,11 +9,17 @@ FUZZ_BUDGET ?= 200
 FAULT_SEED ?= 0
 FAULT_CASES ?= 200
 
-.PHONY: test test-quick fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check perfbench-selftest
+.PHONY: test test-quick test-leaks fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check perfbench-selftest
 
 ## Full tier-1 suite (includes the marked oracle fuzz and fault tests).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+## Tier-1 with leaked file handles as errors: a reader or writer
+## dropped without closing its file raises a ResourceWarning, which
+## fails the test that leaked it.
+test-leaks:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 ## Everything except the fuzz and fault rounds — the quick local loop.
 test-quick:

@@ -463,6 +463,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .corpus.executor import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tree-walking automata toolbox (Neven, PODS 2002)",
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--chunk-size", type=int, default=None,
                           help="trees per chunk")
     p_corpus.add_argument("--engine",
-                          choices=("fast", "reference", "auto", "vectorized"),
+                          choices=ENGINES,
                           default="fast")
     p_corpus.add_argument("--stats", action="store_true",
                           help="print the per-chunk execution report")

@@ -314,6 +314,53 @@ COLDPATH_QUERIES = (
 #: speedup below this — the engine must never lose to the reference.
 CHECK_FLOOR = 1.0
 
+#: Gates every summary key ending in ``_median_speedup_at_max_size``;
+#: a summary with no such key fails outright.
+_MEDIAN_FLOOR = ("*_median_speedup_at_max_size", ">=", CHECK_FLOOR, False)
+
+#: Every ``--check`` gate, by schema prefix (first match wins):
+#: ``(summary key, op, bound, full_only)``.  ``op`` is ``"=="``,
+#: ``">="``, ``"<="`` or ``"0<x<="`` (positive and at most the
+#: bound); ``full_only`` gates bind full-size reports only, since
+#: quick sweeps are too small to clear speed floors.  The serve and
+#: coldpath suites have no reference engine to beat, so they carry no
+#: median floor: their gates are correctness plus their own speed
+#: floors.
+CHECK_GATES = {
+    "repro-bench-serve": (
+        ("serve_wrong_answers", "==", 0, False),
+        ("serve_fault_error_rate", "==", 0.0, False),
+        ("serve_scale_at_8_clients", ">=", SERVE_SCALE_THRESHOLD, True),
+        ("serve_fault_p99_ratio", "0<x<=", SERVE_FAULT_P99_THRESHOLD, True),
+    ),
+    "repro-bench-coldpath": (
+        ("coldpath_disagreements", "==", 0, False),
+        ("coldpath_wrong_answers", "==", 0, False),
+        ("coldpath_sidecar_speedup_at_max_size", ">=",
+         COLDPATH_SIDECAR_THRESHOLD, True),
+        ("coldpath_cache_speedup_at_max_size", ">=",
+         COLDPATH_CACHE_THRESHOLD, True),
+    ),
+    "repro-bench-planner": (
+        _MEDIAN_FLOOR,
+        ("planner_pick_fraction", ">=", PLANNER_PICK_THRESHOLD, True),
+        ("planner_median_auto_vs_best_at_max_size", "<=",
+         PLANNER_OVERHEAD_THRESHOLD, True),
+    ),
+    "repro-bench-store": (
+        _MEDIAN_FLOOR,
+        ("store_warm_flat_ratio", "0<x<=", STORE_FLAT_THRESHOLD, True),
+        ("store_ingest_rss_ratio", "0<x<=", STORE_RSS_THRESHOLD, True),
+        ("store_repair_median_speedup_at_max_size", ">=",
+         STORE_REPAIR_THRESHOLD, True),
+    ),
+    "repro-bench-kernel": (
+        _MEDIAN_FLOOR,
+        ("kernel_median_speedup_at_max_size", ">=", KERNEL_THRESHOLD, True),
+    ),
+    "repro-bench-": (_MEDIAN_FLOOR,),  # engine, walk, corpus, …
+}
+
 
 def _document(size: int, seed: int):
     return random_tree(
@@ -1854,7 +1901,7 @@ t0 = time.perf_counter()
 result = store.run(queries, stop=window, engine="vectorized")
 seconds = time.perf_counter() - t0
 from repro.corpus import executor
-lanes = len(executor._WORKER_LANES)
+lanes = executor._packed_chunks()
 store.close()
 print(json.dumps({
     "seconds": seconds,
@@ -2140,15 +2187,35 @@ def _print_coldpath_report(report: Dict) -> None:
     )
 
 
+def _gate_failure(key: str, value, op: str, bound) -> Optional[str]:
+    """Why ``value`` fails one gate, or ``None`` when it passes."""
+    if op == "==":
+        return None if value == bound else (
+            f"{key} = {value!r} (must be exactly {bound!r})"
+        )
+    if not isinstance(value, (int, float)):
+        return f"{key} = {value!r} is not a number"
+    if op == ">=":
+        return None if value >= bound else (
+            f"{key} = {value!r} is below the {bound}x floor"
+        )
+    if op == "<=":
+        return None if value <= bound else (
+            f"{key} = {value!r} exceeds the {bound}x ceiling"
+        )
+    return None if 0.0 < value <= bound else (
+        f"{key} = {value!r} is outside (0, {bound}x]"
+    )
+
+
 def check_reports(paths: Sequence[Path]) -> List[str]:
     """Scan committed trajectories; return human-readable failures.
 
-    Every ``*_median_speedup_at_max_size`` entry in each report's
-    summary must clear :data:`CHECK_FLOOR` — a trajectory where the
-    engine lost to the reference is a regression, full stop.  Every
-    report must also carry zero per-case errors, and a (full-size)
-    planner trajectory must additionally clear its pick-rate and
-    overhead gates.
+    Every report must carry zero per-case errors and clear every gate
+    :data:`CHECK_GATES` lists for its schema — for most suites, every
+    ``*_median_speedup_at_max_size`` entry must clear
+    :data:`CHECK_FLOOR`, since a trajectory where the engine lost to
+    the reference is a regression, full stop.
     """
     failures = []
     for path in paths:
@@ -2157,173 +2224,33 @@ def check_reports(paths: Sequence[Path]) -> List[str]:
         except (OSError, ValueError) as exc:
             failures.append(f"{path}: unreadable ({exc})")
             continue
-        schema = report.get("schema", "")
-        if not str(schema).startswith("repro-bench-"):
+        schema = str(report.get("schema", ""))
+        gates = next(
+            (gates for prefix, gates in CHECK_GATES.items()
+             if schema.startswith(prefix)),
+            None,
+        )
+        if gates is None:
             failures.append(f"{path}: unrecognised schema {schema!r}")
             continue
         summary = report.get("summary", {})
         errors = summary.get("errors", 0)
         if errors:
             failures.append(f"{path}: {errors} per-case errors recorded")
-        if str(schema).startswith("repro-bench-serve"):
-            # The serve trajectory has no reference engine to beat —
-            # its gates are correctness, chaos tolerance, and (full
-            # size only) closed-loop throughput scaling.
-            wrong = summary.get("serve_wrong_answers")
-            if wrong != 0:
-                failures.append(
-                    f"{path}: serve_wrong_answers = {wrong!r} "
-                    "(must be exactly 0)"
-                )
-            chaos_errors = summary.get("serve_fault_error_rate")
-            if chaos_errors != 0.0:
-                failures.append(
-                    f"{path}: serve_fault_error_rate = {chaos_errors!r} "
-                    "(injected faults must degrade, not error)"
-                )
-            if not report.get("quick", False):
-                scale = summary.get("serve_scale_at_8_clients")
-                if (
-                    not isinstance(scale, (int, float))
-                    or scale < SERVE_SCALE_THRESHOLD
-                ):
-                    failures.append(
-                        f"{path}: serve_scale_at_8_clients = {scale!r} "
-                        f"is below the {SERVE_SCALE_THRESHOLD:.1f}x gate"
-                    )
-                ratio = summary.get("serve_fault_p99_ratio")
-                if (
-                    not isinstance(ratio, (int, float))
-                    or not 0.0 < ratio <= SERVE_FAULT_P99_THRESHOLD
-                ):
-                    failures.append(
-                        f"{path}: serve_fault_p99_ratio = {ratio!r} "
-                        f"exceeds the {SERVE_FAULT_P99_THRESHOLD:.1f}x "
-                        "chaos-latency gate"
-                    )
-            continue
-        if str(schema).startswith("repro-bench-coldpath"):
-            # The coldpath trajectory measures the engine against its
-            # own cold start, not the reference — its gates are answer
-            # agreement everywhere plus (full size only) the sidecar
-            # and result-cache speedup floors.
-            disagreements = summary.get("coldpath_disagreements")
-            if disagreements != 0:
-                failures.append(
-                    f"{path}: coldpath_disagreements = "
-                    f"{disagreements!r} (sidecar and rebuild answers "
-                    "must agree with the naive loop)"
-                )
-            wrong = summary.get("coldpath_wrong_answers")
-            if wrong != 0:
-                failures.append(
-                    f"{path}: coldpath_wrong_answers = {wrong!r} "
-                    "(cached replays must be byte-identical)"
-                )
-            if not report.get("quick", False):
-                sidecar = summary.get(
-                    "coldpath_sidecar_speedup_at_max_size"
-                )
-                if (
-                    not isinstance(sidecar, (int, float))
-                    or sidecar < COLDPATH_SIDECAR_THRESHOLD
-                ):
-                    failures.append(
-                        f"{path}: coldpath_sidecar_speedup_at_max_size "
-                        f"= {sidecar!r} is below the "
-                        f"{COLDPATH_SIDECAR_THRESHOLD:.1f}x gate"
-                    )
-                cache = summary.get("coldpath_cache_speedup_at_max_size")
-                if (
-                    not isinstance(cache, (int, float))
-                    or cache < COLDPATH_CACHE_THRESHOLD
-                ):
-                    failures.append(
-                        f"{path}: coldpath_cache_speedup_at_max_size = "
-                        f"{cache!r} is below the "
-                        f"{COLDPATH_CACHE_THRESHOLD:.1f}x gate"
-                    )
-            continue
-        medians = {
-            key: value
-            for key, value in summary.items()
-            if key.endswith("_median_speedup_at_max_size")
-        }
-        if not medians:
-            failures.append(f"{path}: summary has no median speedups")
-            continue
-        for key, value in sorted(medians.items()):
-            if not isinstance(value, (int, float)) or value < CHECK_FLOOR:
-                failures.append(
-                    f"{path}: {key} = {value!r} is below the "
-                    f"{CHECK_FLOOR:.1f}x floor"
-                )
-        if str(schema).startswith("repro-bench-planner") and not report.get(
-            "quick", False
-        ):
-            pick = summary.get("planner_pick_fraction")
-            if (
-                not isinstance(pick, (int, float))
-                or pick < PLANNER_PICK_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: planner_pick_fraction = {pick!r} is below "
-                    f"the {PLANNER_PICK_THRESHOLD:.0%} gate"
-                )
-            overhead = summary.get("planner_median_auto_vs_best_at_max_size")
-            if (
-                not isinstance(overhead, (int, float))
-                or overhead > PLANNER_OVERHEAD_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: planner_median_auto_vs_best_at_max_size = "
-                    f"{overhead!r} exceeds the "
-                    f"{PLANNER_OVERHEAD_THRESHOLD:.1f}x gate"
-                )
-        if str(schema).startswith("repro-bench-store") and not report.get(
-            "quick", False
-        ):
-            flat = summary.get("store_warm_flat_ratio")
-            if (
-                not isinstance(flat, (int, float))
-                or not 0.0 < flat <= STORE_FLAT_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: store_warm_flat_ratio = {flat!r} exceeds "
-                    f"the {STORE_FLAT_THRESHOLD:.1f}x flat-latency gate"
-                )
-            rss = summary.get("store_ingest_rss_ratio")
-            if (
-                not isinstance(rss, (int, float))
-                or not 0.0 < rss <= STORE_RSS_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: store_ingest_rss_ratio = {rss!r} exceeds "
-                    f"the {STORE_RSS_THRESHOLD:.1f}x sublinear-RSS gate"
-                )
-            repair = summary.get("store_repair_median_speedup_at_max_size")
-            if (
-                not isinstance(repair, (int, float))
-                or repair < STORE_REPAIR_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: store_repair_median_speedup_at_max_size = "
-                    f"{repair!r} is below the "
-                    f"{STORE_REPAIR_THRESHOLD:.1f}x gate"
-                )
-        if str(schema).startswith("repro-bench-kernel") and not report.get(
-            "quick", False
-        ):
-            stacked = summary.get("kernel_median_speedup_at_max_size")
-            if (
-                not isinstance(stacked, (int, float))
-                or stacked < KERNEL_THRESHOLD
-            ):
-                failures.append(
-                    f"{path}: kernel_median_speedup_at_max_size = "
-                    f"{stacked!r} is below the "
-                    f"{KERNEL_THRESHOLD:.1f}x gate"
-                )
+        full = not report.get("quick", False)
+        for key, op, bound, full_only in gates:
+            if full_only and not full:
+                continue
+            keys = [key]
+            if key.startswith("*"):
+                keys = sorted(k for k in summary if k.endswith(key[1:]))
+                if not keys:
+                    failures.append(f"{path}: summary has no median speedups")
+                    break
+            for name in keys:
+                failure = _gate_failure(name, summary.get(name), op, bound)
+                if failure is not None:
+                    failures.append(f"{path}: {failure}")
     return failures
 
 

@@ -20,8 +20,8 @@ Contract points the callers rely on (and the tests pin):
   slots *and* counters — exactly as it was.
 * ``maxsize=0`` disables storage but still counts every probe as a
   miss; negative sizes are rejected at construction.
-* The mapping protocol (``in``, ``iter``, ``len``) is exposed read-only
-  so tests can assert on residency and eviction order.
+* The mapping protocol (``in``, ``iter``, ``len``, ``values``) is
+  exposed read-only so tests can assert on residency and eviction order.
 * Every cache operation holds an internal :class:`threading.RLock`:
   the query service shares the process-wide plan/index caches across
   concurrent sessions, and an unlocked ``move_to_end`` racing an
@@ -40,7 +40,9 @@ import os
 import threading
 import weakref
 from collections import OrderedDict, namedtuple
-from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
+from typing import (
+    Callable, Generic, Hashable, Iterator, List, Optional, TypeVar,
+)
 
 __all__ = ["CacheInfo", "KeyedLRU"]
 
@@ -167,6 +169,11 @@ class KeyedLRU(Generic[K, V]):
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def values(self) -> List[V]:
+        """A snapshot of the resident values, coldest first."""
+        with self._lock:
+            return list(self._data.values())
 
     def __repr__(self) -> str:
         label = f" {self._name!r}" if self._name else ""

@@ -19,16 +19,14 @@ from __future__ import annotations
 import itertools
 import os
 import random
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..engine.index import TreeIndex, index_for
 from ..engine.stats import CorpusStatistics, corpus_statistics
 from ..trees.generators import random_tree
 from ..trees.parser import parse_term
 from ..trees.tree import Tree
-from .executor import BatchResult, _make_pools, run_batch
+from .executor import BatchResult, WorkerPools, _chunk_bounds, run_batch
 from .query import CorpusQuery
 
 __all__ = ["TreeCorpus"]
@@ -46,10 +44,7 @@ class TreeCorpus:
         self._trees: Tuple[Tree, ...] = tuple(trees)
         self._indexes: Optional[Tuple[TreeIndex, ...]] = None
         self._stats: Optional[CorpusStatistics] = None
-        self._pools: Dict[int, Tuple[ProcessPoolExecutor, ...]] = {}
-        #: Guards pool creation/healing — the query service runs many
-        #: batches over one corpus from concurrent threads.
-        self._pool_lock = threading.Lock()
+        self.pools = WorkerPools()
         self._token = f"corpus-{os.getpid()}-{next(_TOKENS)}"
 
     # -- construction -------------------------------------------------
@@ -174,23 +169,8 @@ class TreeCorpus:
         stop = count if stop is None else min(stop, count)
         if start < 0 or start > stop:
             raise ValueError(f"bad tree range [{start}, {stop})")
-        pool = None
-        if workers > 0:
-            with self._pool_lock:
-                pool = self._pools.get(workers)
-                if pool is None:
-                    pool = self._pools[workers] = _make_pools(workers)
-        bounds = None
-        if start != 0 or stop != count:
-            # Window bounds stay corpus-global: warm-state keys are
-            # (token, start, stop) and must never alias across windows.
-            if chunk_size is None:
-                lanes = 4 * max(1, workers)
-                chunk_size = max(1, -(-(stop - start) // lanes))
-            bounds = tuple(
-                (lo, min(lo + chunk_size, stop))
-                for lo in range(start, stop, chunk_size)
-            )
+        # Window bounds stay corpus-global: warm-state keys are
+        # (token, start, stop) and must never alias across windows.
         return run_batch(
             self._trees,
             queries,
@@ -199,44 +179,23 @@ class TreeCorpus:
             engine=engine,
             budget_steps=budget_steps,
             faults=faults,
-            pool=pool,
+            pool=self.pools,
             indexes=self._indexes,
             token=self._token,
             stats=self.statistics() if engine == "auto" else None,
-            bounds=bounds,
+            bounds=_chunk_bounds(start, stop, chunk_size, workers),
             budget_seconds=budget_seconds,
             on_exhausted=on_exhausted,
             route=route,
             worker_retries=worker_retries,
             retry_backoff=retry_backoff,
-            replace_pool=(
-                (lambda slot: self._heal_pool(workers, slot))
-                if workers > 0 else None
-            ),
         )
-
-    def _heal_pool(self, workers: int, slot: int) -> ProcessPoolExecutor:
-        """Replace routed pool ``slot`` (its worker died) with a fresh
-        single-worker pool, in place — later batches route straight to
-        the replacement."""
-        with self._pool_lock:
-            routed = list(self._pools.get(workers) or _make_pools(workers))
-            try:
-                routed[slot].shutdown(wait=False)
-            except Exception:
-                pass
-            routed[slot] = _make_pools(1)[0]
-            self._pools[workers] = tuple(routed)
-            return routed[slot]
 
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
         """Shut down every pool this corpus created."""
-        pools, self._pools = self._pools, {}
-        for routed in pools.values():
-            for pool in routed:
-                pool.shutdown()
+        self.pools.close()
 
     def __enter__(self) -> "TreeCorpus":
         return self

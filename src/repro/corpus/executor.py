@@ -19,6 +19,17 @@ of the corpus:
   path — and to a loop of single-tree calls, which the
   ``corpus/sequential`` oracle pair fuzzes.
 
+Each chunk travels as one frozen :class:`ChunkTask`.  A worker process
+(or the parent, serially, where many service threads share it) keeps
+three pieces of warm state: the trees and indexes of one corpus
+token's chunks, and the open segment files and open index sidecars,
+each a 64-entry :class:`~repro.caching.KeyedLRU` keyed by file path
+and tagged with the generation the file was opened under.  A sidecar's
+entry also holds the :class:`PackedIndex` lanes parsed from it, so they
+leave together.  An evicted segment or sidecar is dropped, never
+closed: its mapping stays valid for every reader still using it, and
+goes away when the last one lets go.
+
 Resilience (the PR-4 contract, lifted to chunks): the fast attempt of a
 chunk runs under an optional per-chunk :class:`~repro.resilience.Budget`
 and fault injector.  An engine fault or budget exhaustion inside a
@@ -29,13 +40,16 @@ caller's, and no fallback could answer them.
 
 from __future__ import annotations
 
-import os
+import dataclasses
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..caching import KeyedLRU
 from ..engine import fo as fast_fo
 from ..engine import walk as engine_walk
 from ..engine import xpath as fast_xpath
@@ -59,12 +73,15 @@ from ..engine.plans import (
 from ..engine.stats import CorpusStatistics, corpus_statistics
 from ..logic import tree_fo
 from ..resilience.budget import Budget, ExecutionContext, activate
-from ..resilience.errors import EngineError, ParseError, ResourceExhausted
+from ..resilience.errors import EngineError, ResourceExhausted
 from ..resilience.faults import Fault, FaultInjector
 from ..trees.tree import Tree
 from .query import CorpusQuery
+from .segment import Segment, Sidecar, StoreError
 
-__all__ = ["ChunkReport", "BatchResult", "run_batch", "plan_queries"]
+__all__ = [
+    "ChunkReport", "BatchResult", "WorkerPools", "run_batch", "plan_queries",
+]
 
 #: Engines a batch can run on.  ``"fast"`` is the indexed set-at-a-time
 #: path with per-chunk reference degradation; ``"reference"`` runs the
@@ -240,219 +257,113 @@ def evaluate_cell(query: CorpusQuery, tree: Tree, engine: str = "fast"):
 # chunks
 # ---------------------------------------------------------------------------
 
-#: One chunk's work order: everything a worker needs, all picklable.
-#: ``indexes`` rides along only on the in-process path (pre-built
-#: pinned indexes adopted tree by tree); workers rebuild from trees.
-#: ``token`` identifies an immutable corpus so persistent workers can
-#: keep the chunk's trees and indexes warm across batches; once a
-#: routed worker holds a chunk, later batches ship ``trees=None``.
-#: ``shard`` is the disk-store alternative to shipping trees at all:
-#: ``(segment path, generation, lo, hi, sidecar)`` names a contiguous
-#: record range of one segment file, and the worker memory-maps the
-#: segment and unpickles exactly that byte range itself.  ``sidecar``
-#: — ``(sidecar path, generation tag)`` or ``None`` — additionally
-#: names the segment's index sidecar: a vectorized-eligible chunk then
-#: assembles its :class:`~repro.engine.ir.StackedShard` lanes straight
-#: from the sidecar's serialized-index bytes (:class:`PackedIndex`) and
-#: never unpickles a tree or builds a :class:`TreeIndex` at all — the
-#: zero-rebuild path.
-_ChunkPayload = Tuple[
-    int,                    # chunk index
-    int,                    # corpus position of the first tree
-    int,                    # corpus position past the last tree
-    Optional[Tuple[Tree, ...]],  # the chunk's trees (None: shard/warm state)
-    Tuple[CorpusQuery, ...],
-    Union[str, Tuple[str, ...]],  # engine (or per-query engines, auto)
-    Optional[int],          # per-chunk fast budget (steps)
-    Optional[Fault],        # injected fault, if the harness armed one
-    Optional[Tuple[TreeIndex, ...]],
-    Optional[str],          # corpus token, or None for one-shot batches
-    Optional[Tuple],        # disk shard (5-tuple above), or None
-    Optional[float],        # per-chunk wall-clock budget (seconds)
-    str,                    # on_exhausted: "degrade" | "raise"
-]
-
-#: Guards every check-then-mutate block on the worker caches below.
-#: Server dispatch threads run :func:`_run_chunk` in-process, so two
-#: threads may warm chunks of one process's caches at once.  Held only
-#: around dict bookkeeping and file opens — never across unpickling,
-#: index builds or lane parsing.
-_WORKER_LOCK = threading.Lock()
+#: A store chunk's byte coordinates: ``(segment path, generation, lo,
+#: hi, sidecar)`` names records ``[lo, hi)`` of one segment file, and
+#: ``sidecar`` — ``(sidecar path, generation tag)`` or ``None`` — the
+#: segment's index sidecar.
+Shard = Tuple[str, int, int, int, Optional[Tuple[str, int]]]
 
 
-def _fresh_worker_lock() -> None:
-    """Give a forked worker an unheld lock: a pool may fork while a
-    dispatch thread holds the parent's, and that thread does not exist
-    in the child to release it."""
-    global _WORKER_LOCK
-    _WORKER_LOCK = threading.Lock()
+@dataclass(frozen=True)
+class ChunkTask:
+    """One chunk's work order: everything a worker needs, all picklable.
+
+    ``trees`` is ``None`` when the worker is expected to hold the chunk
+    already (``token`` names an immutable corpus whose chunks routed
+    workers keep warm across batches) or when ``shard`` supplies it: a
+    store chunk ships byte coordinates, never pickles.  ``indexes``
+    rides along only on the in-process path — pre-built pinned indexes
+    adopted tree by tree; workers rebuild from trees."""
+
+    index: int
+    start: int
+    stop: int
+    trees: Optional[Tuple[Tree, ...]]
+    queries: Tuple[CorpusQuery, ...]
+    #: One engine name, or one planner-chosen name per query (``auto``).
+    engine: Union[str, Tuple[str, ...]]
+    budget_steps: Optional[int] = None
+    budget_seconds: Optional[float] = None
+    on_exhausted: str = "degrade"
+    fault: Optional[Fault] = None
+    indexes: Optional[Tuple[TreeIndex, ...]] = None
+    token: Optional[str] = None
+    shard: Optional[Shard] = None
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_worker_lock)
+#: Worker-side warm chunks: ``{token: {(start, stop): (trees,
+#: indexes)}}``.  A persistent pool's worker fills it on its first
+#: batch over a corpus and then skips tree shipping, revalidation and
+#: index rebuilds on every later batch.  A new token retires the old
+#: one's chunks, so it holds one corpus's chunks at most.  Threads
+#: read and write single keys only, which needs no lock.
+_WORKER_CHUNKS: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
 
-#: Worker-side warm state: (token, start, stop) → (trees, indexes).
-#: A persistent pool's worker fills this on its first batch over a
-#: corpus and then skips tree shipping, revalidation and index
-#: rebuilds on every later batch.  Only the latest token is retained,
-#: so the cache is bounded by one corpus's chunks.
-_WORKER_TREES: Dict[Tuple[str, int, int], Tuple] = {}
+#: Worker-side open segments: path → ``(generation, Segment)``.  A
+#: request under another generation (any store mutation) replaces the
+#: entry.  Evicted segments are dropped, never closed: a thread still
+#: reading one keeps its mapping alive until it is done.
+_WORKER_SEGMENTS = KeyedLRU(64, name="worker segments")
 
-#: The token every :data:`_WORKER_TREES` key carries.
-_WORKER_TOKEN: Optional[str] = None
+#: Worker-side open index sidecars: path → ``(tag, Sidecar | None,
+#: {(lo, hi): lanes})``.  ``None`` caches a validation failure, so a
+#: corrupt or stale sidecar costs one open per tag, not one per chunk.
+#: The chunks' :class:`PackedIndex` lanes are zero-copy views of the
+#: sidecar's mapping and live in its entry, so they leave with it.
+_WORKER_SIDECARS = KeyedLRU(64, name="worker sidecars")
 
 #: Returned by a worker asked to run a chunk from warm state it does
 #: not have (e.g. the worker process was restarted).  The parent then
-#: re-runs the chunk itself from the full payload.
+#: re-runs the chunk itself from the full task.
 _CACHE_MISS = "__corpus_chunk_cache_miss__"
 
-#: Worker-side open segments: (path, generation) → Segment.  A routed
-#: worker serving shard chunks maps each segment file once per store
-#: generation; a bumped generation (any store mutation) retires the
-#: stale mapping on first sight.
-_WORKER_SEGMENTS: Dict[Tuple[str, int], object] = {}
 
-
-def _shard_trees(shard: Tuple) -> Tuple[Tree, ...]:
-    """Materialize one shard: mmap its segment (cached per generation)
+def _shard_trees(shard: Shard) -> Tuple[Tree, ...]:
+    """Materialize one shard: map its segment (once per generation)
     and unpickle only records ``[lo, hi)`` — the store fan-out path
     where the parent ships byte coordinates instead of trees."""
-    from .segment import Segment
-
     path, generation, lo, hi = shard[:4]
-    key = (path, generation)
-    with _WORKER_LOCK:
-        segment = _WORKER_SEGMENTS.get(key)
-        if segment is None:
-            for stale in [k for k in _WORKER_SEGMENTS if k[0] == path]:
-                _WORKER_SEGMENTS.pop(stale).close()
-            while len(_WORKER_SEGMENTS) >= 64:  # mmaps are cheap, not free
-                _WORKER_SEGMENTS.pop(next(iter(_WORKER_SEGMENTS))).close()
-            segment = _WORKER_SEGMENTS[key] = Segment(path)
-    return segment.trees(lo, hi)
+    entry = _WORKER_SEGMENTS.get(path)
+    if entry is None or entry[0] != generation:
+        entry = (generation, Segment(path))
+        _WORKER_SEGMENTS.put(path, entry)
+    return entry[1].trees(lo, hi)
 
 
-#: Worker-side open index sidecars: (sidecar path, generation tag) →
-#: Sidecar | None.  ``None`` caches a validation failure, so a corrupt
-#: or stale sidecar costs one open attempt per generation, not one per
-#: chunk.  Evicted together with its :data:`_WORKER_LANES` entries —
-#: packed lanes hold zero-copy views into the sidecar's mmap and must
-#: never outlive it.
-_WORKER_SIDECARS: Dict[Tuple[str, int], object] = {}
-
-#: Worker-side packed lanes: (sidecar path, tag, lo, hi) → tuple of
-#: :class:`PackedIndex` — one chunk's StackedShard inputs, parsed once
-#: from the sidecar bytes and reused every batch until the generation
-#: moves.
-_WORKER_LANES: Dict[Tuple[str, int, int, int], Tuple] = {}
-
-
-def _evict_sidecar(key: Tuple[str, int]) -> None:
-    """Drop one sidecar and its lanes; the caller holds
-    :data:`_WORKER_LOCK`."""
-    for lane_key in [k for k in _WORKER_LANES if k[:2] == key]:
-        _WORKER_LANES.pop(lane_key)
-    sidecar = _WORKER_SIDECARS.pop(key, None)
-    if sidecar is not None:
+def _shard_lanes(shard: Shard) -> Optional[Tuple[PackedIndex, ...]]:
+    """The shard's :class:`PackedIndex` lanes, parsed straight from its
+    sidecar's bytes — or ``None`` when the sidecar is missing, stale or
+    corrupt, in which case the caller loads trees instead."""
+    _, _, lo, hi, (path, tag) = shard
+    entry = _WORKER_SIDECARS.get(path)
+    if entry is None or entry[0] != tag:
         try:
-            sidecar.close()
-        except BufferError:  # a straggler lane still views the mmap;
-            pass             # the view's release will close it instead
-
-
-def _packed_plans(
-    queries: Sequence[CorpusQuery], engine: Union[str, Tuple[str, ...]]
-) -> Optional[Tuple]:
-    """Every query's IR plan iff the *whole* chunk can run packed —
-    each query vectorized and inside the IR fragment; else ``None``."""
-    engines = engine if isinstance(engine, tuple) else (engine,) * len(queries)
-    plans = []
-    for query, chosen in zip(queries, engines):
-        if chosen != "vectorized":
-            return None
-        plan = _ir_batch_plan(query)
-        if plan is None:
-            return None
-        plans.append(plan)
-    return tuple(plans)
-
-
-def _shard_lanes(
-    shard: Tuple,
-    queries: Sequence[CorpusQuery],
-    engine: Union[str, Tuple[str, ...]],
-) -> Optional[Tuple]:
-    """The chunk's :class:`PackedIndex` lanes, assembled straight from
-    the shard's sidecar bytes — or ``None`` whenever the chunk cannot
-    run packed (no/invalid sidecar, a query outside the vectorized IR
-    fragment), in which case the caller materializes trees as before."""
-    if len(shard) < 5 or shard[4] is None:
-        return None
-    if _packed_plans(queries, engine) is None:
-        return None
-    from .segment import Sidecar, StoreError
-
-    lo, hi = shard[2], shard[3]
-    spath, tag = shard[4]
-    lane_key = (spath, tag, lo, hi)
-    lanes = _WORKER_LANES.get(lane_key)
-    if lanes is not None:
-        return lanes
-    side_key = (spath, tag)
-    with _WORKER_LOCK:
-        if side_key in _WORKER_SIDECARS:
-            sidecar = _WORKER_SIDECARS[side_key]
-        else:
-            for stale in [
-                k for k in _WORKER_SIDECARS
-                if k[0] == spath and k != side_key
-            ]:
-                _evict_sidecar(stale)
-            while len(_WORKER_SIDECARS) >= 64:
-                _evict_sidecar(next(iter(_WORKER_SIDECARS)))
+            sidecar = Sidecar(path)
+        except (OSError, StoreError):
             sidecar = None
-            try:
-                candidate = Sidecar(spath)
-                if candidate.generation == tag and candidate.count >= hi:
-                    sidecar = candidate
-                else:
-                    candidate.close()
-            except (OSError, StoreError):
-                sidecar = None
-            _WORKER_SIDECARS[side_key] = sidecar
+        if sidecar is not None and (
+            sidecar.generation != tag or sidecar.count < hi
+        ):
+            sidecar = None
+        entry = (tag, sidecar, {})
+        _WORKER_SIDECARS.put(path, entry)
+    _, sidecar, chunks = entry
     if sidecar is None:
         return None
-    try:
-        lanes = tuple(PackedIndex(sidecar.blob(i)) for i in range(lo, hi))
-    except (StoreError, IndexFormatError, ValueError, IndexError):
-        return None  # corrupt blob: fall back to rebuilding from records
-    with _WORKER_LOCK:
-        # Lanes view the sidecar's mmap: keep them only while the
-        # sidecar they came from is still the cached one.
-        if _WORKER_SIDECARS.get(side_key) is sidecar:
-            _WORKER_LANES[lane_key] = lanes
+    lanes = chunks.get((lo, hi))
+    if lanes is None:
+        try:
+            lanes = tuple(PackedIndex(sidecar.blob(i)) for i in range(lo, hi))
+        except (StoreError, IndexFormatError, ValueError, IndexError):
+            return None  # corrupt blob: fall back to rebuilding from records
+        chunks[(lo, hi)] = lanes
     return lanes
 
 
-def _evaluate_packed(lanes: Tuple, queries: Sequence[CorpusQuery],
-                     engine: Union[str, Tuple[str, ...]]):
-    """One chunk's cells evaluated entirely from packed lanes: every
-    query's IR plan interpreted once over one :class:`StackedShard` of
-    :class:`PackedIndex` lanes — no tree objects, no TreeIndex builds."""
-    plans = _packed_plans(queries, engine)
-    shard = StackedShard(lanes)
-    columns = []
-    for plan in plans:
-        split = shard.split(evaluate_shard(plan, shard))
-        if plan.mode == "boolean":
-            columns.append([bool(lane) for lane in split])
-        else:
-            columns.append([
-                idx.to_nodes(lane) for idx, lane in zip(lanes, split)
-            ])
-    return tuple(
-        tuple(column[i] for column in columns) for i in range(len(lanes))
-    )
+def _packed_chunks() -> int:
+    """How many chunks' lanes this process holds — what the coldpath
+    bench and the sidecar tests read to see that the packed path ran."""
+    return sum(len(entry[2]) for entry in _WORKER_SIDECARS.values())
 
 
 def _warm_chunk(
@@ -461,21 +372,23 @@ def _warm_chunk(
     stop: int,
     trees: Tuple[Tree, ...],
 ) -> Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]:
-    """Swap freshly unpickled chunk trees for this worker's warm copies
+    """Swap freshly loaded chunk trees for this worker's warm copies
     (building them on first sight).  Without a token, no caching."""
-    global _WORKER_TOKEN
     if token is None:
         return trees, None
-    key = (token, start, stop)
-    cached = _WORKER_TREES.get(key)
+    chunks = _WORKER_CHUNKS.get(token)
+    if chunks is None:
+        # A new corpus: retire the old one's chunks.  ``setdefault``
+        # hands every thread racing here the same dict, and ``list``
+        # copies the keys in one step.
+        chunks = _WORKER_CHUNKS.setdefault(token, {})
+        for stale in [key for key in list(_WORKER_CHUNKS) if key != token]:
+            _WORKER_CHUNKS.pop(stale, None)
+    cached = chunks.get((start, stop))
     if cached is not None and len(cached[0]) == len(trees):
         return cached
     indexes = tuple(index_for(tree) for tree in trees)
-    with _WORKER_LOCK:
-        if _WORKER_TOKEN != token:
-            _WORKER_TREES.clear()  # a new corpus: retire the old one's state
-            _WORKER_TOKEN = token
-        _WORKER_TREES[key] = (trees, indexes)
+    chunks[(start, stop)] = (trees, indexes)
     return trees, indexes
 
 
@@ -488,58 +401,70 @@ def _ir_batch_plan(query: CorpusQuery):
     return compile_ir_plan(query.kind, query.text)
 
 
-def _evaluate_rows(
-    trees: Sequence[Tree],
-    queries: Sequence[CorpusQuery],
-    engine: Union[str, Tuple[str, ...]],
-    indexes: Optional[Sequence[TreeIndex]],
-) -> Tuple[Tuple[object, ...], ...]:
-    """One chunk's cells: a stacked shard pass for the vectorized
-    queries, then the tree-outer, query-inner sweep for the rest.
-
-    ``engine`` is one name for the whole sweep, or (on the ``auto``
-    path) one planner-chosen name per query.  Each ``"vectorized"``
-    query lowers to one IR plan evaluated *once* across every tree of
-    the chunk (each tree in its own bit lane); queries the IR cannot
-    express quietly take the per-tree fast path instead."""
-    for query in queries:
-        compile_query(query)
+def _stacked_plans(
+    queries: Sequence[CorpusQuery], engine: Union[str, Tuple[str, ...]]
+) -> Tuple[List[str], Dict[int, object]]:
+    """Each query's engine, and position → IR plan for the queries the
+    stacked shard pass runs: those routed ``"vectorized"`` that fit
+    the IR.  The rest of the vectorized ones quietly go per-tree
+    ``"fast"``."""
     engines = list(
         engine if isinstance(engine, tuple) else (engine,) * len(queries)
     )
-    stacked: Dict[int, object] = {}
+    plans: Dict[int, object] = {}
     for position, (query, chosen) in enumerate(zip(queries, engines)):
-        if chosen != "vectorized":
-            continue
-        plan = _ir_batch_plan(query)
-        if plan is None:
-            engines[position] = "fast"  # outside the fragment: per-tree
-        else:
-            stacked[position] = plan
+        if chosen == "vectorized":
+            plan = _ir_batch_plan(query)
+            if plan is None:
+                engines[position] = "fast"
+            else:
+                plans[position] = plan
+    return engines, plans
+
+
+def _evaluate_rows(
+    trees: Optional[Sequence[Tree]],
+    queries: Sequence[CorpusQuery],
+    engine: Union[str, Tuple[str, ...]],
+    indexes: Optional[Sequence[Union[TreeIndex, PackedIndex]]],
+) -> Tuple[Tuple[object, ...], ...]:
+    """One chunk's cells: one stacked shard pass for the queries routed
+    to it, then the tree-outer, query-inner sweep for the rest.
+
+    ``indexes`` is the chunk's index sequence, each tree in its own bit
+    lane of the stacked pass.  With ``trees`` it holds pinned
+    :class:`TreeIndex` objects, adopted tree by tree (``None``: built
+    here when the stacked pass needs them); without trees it holds
+    :class:`PackedIndex` lanes straight from a sidecar, and every query
+    must ride the stacked pass."""
+    engines, plans = _stacked_plans(queries, engine)
+    if trees is not None:
+        for query in queries:
+            compile_query(query)
+    stacked = indexes
+    if stacked is None and plans and trees:
+        stacked = tuple(index_for(tree) for tree in trees)
     columns: Dict[int, List[object]] = {}
-    if stacked and trees:
-        tree_indexes = (
-            tuple(indexes)
-            if indexes is not None
-            else tuple(index_for(tree) for tree in trees)
-        )
-        shard = StackedShard(tree_indexes)
-        for position, plan in stacked.items():
+    if plans and stacked:
+        shard = StackedShard(tuple(stacked))
+        for position, plan in plans.items():
             lanes = shard.split(evaluate_shard(plan, shard))
             if plan.mode == "boolean":
                 columns[position] = [bool(lane) for lane in lanes]
             else:
                 columns[position] = [
-                    idx.to_nodes(lane)
-                    for idx, lane in zip(tree_indexes, lanes)
+                    idx.to_nodes(lane) for idx, lane in zip(stacked, lanes)
                 ]
     rows = []
-    for position, tree in enumerate(trees):
-        if indexes is not None:
-            adopt_index(tree, indexes[position])
+    for position in range(len(trees if trees is not None else indexes)):
+        tree = None
+        if trees is not None:
+            tree = trees[position]
+            if indexes is not None:
+                adopt_index(tree, indexes[position])
         row = []
-        for query_index, (query, chosen) in enumerate(zip(queries, engines)):
-            column = columns.get(query_index)
+        for q, (query, chosen) in enumerate(zip(queries, engines)):
+            column = columns.get(q)
             if column is not None:
                 row.append(column[position])
             else:
@@ -548,139 +473,140 @@ def _evaluate_rows(
     return tuple(rows)
 
 
-def _run_chunk(payload: _ChunkPayload):
+def _degrade(
+    task: ChunkTask,
+    trees: Optional[Tuple[Tree, ...]],
+    indexes: Optional[Tuple[TreeIndex, ...]],
+    started: float,
+    error: str,
+    steps: int = 0,
+    retries: int = 0,
+):
+    """The one degrade path: answer the chunk on the reference engine —
+    unbudgeted, since it is the recovery and must be allowed to finish —
+    and report why.  A packed attempt left no trees, so they load here."""
+    if trees is None:
+        trees, indexes = _warm_chunk(
+            task.token, task.start, task.stop, _shard_trees(task.shard)
+        )
+    rows = _evaluate_rows(trees, task.queries, "reference", indexes)
+    return rows, ChunkReport(
+        task.index, task.start, task.stop, "reference", True, error,
+        time.perf_counter() - started, steps=steps, retries=retries,
+    )
+
+
+def _run_chunk(task: ChunkTask):
     """Evaluate one chunk; degrade to the reference engine on faults.
+    Returns ``(rows, report)``.
 
     Runs in a worker process under ``workers > 0`` — everything it
     touches (plan cache, index cache) is that worker's own warm state.
     """
-    (index, start, stop, trees, queries, engine,
-     budget_steps, fault, indexes, token, shard,
-     budget_seconds, on_exhausted) = payload
     started = time.perf_counter()
-    lanes = None
+    trees, indexes, lanes = task.trees, task.indexes, None
     if trees is None:
-        cached = _WORKER_TREES.get((token, start, stop))
+        chunks = _WORKER_CHUNKS.get(task.token)
+        cached = None
+        if chunks is not None:
+            cached = chunks.get((task.start, task.stop))
         if cached is not None:
             trees, indexes = cached
-        elif shard is not None:
-            # A store chunk.  When the whole chunk is vectorized and
-            # the segment's index sidecar is valid, its StackedShard
-            # lanes assemble straight from the sidecar bytes — no
-            # unpickling, no index builds.  Otherwise this worker loads
-            # its own shard from the segment file and warms it under
-            # the store token.
-            lanes = _shard_lanes(shard, queries, engine)
+        elif task.shard is None:  # e.g. a fresh worker after a pool restart
+            return _CACHE_MISS, None
+        else:
+            # A store chunk.  When every query rides the stacked pass
+            # and the segment's index sidecar is valid, the lanes come
+            # straight from the sidecar bytes — no unpickling, no index
+            # builds.  Otherwise this worker loads its own shard and
+            # warms it under the store token.
+            if task.shard[4] is not None:
+                _, plans = _stacked_plans(task.queries, task.engine)
+                if len(plans) == len(task.queries):
+                    lanes = _shard_lanes(task.shard)
             if lanes is None:
                 trees, indexes = _warm_chunk(
-                    token, start, stop, _shard_trees(shard)
+                    task.token, task.start, task.stop,
+                    _shard_trees(task.shard),
                 )
-        else:  # e.g. a fresh worker after a pool restart
-            return index, _CACHE_MISS, None
     elif indexes is None:
-        trees, indexes = _warm_chunk(token, start, stop, trees)
-    if engine == "reference":
-        # Reference chunks have no engine to degrade to, so budgets
-        # only make sense when exhaustion is the caller's verdict
-        # (``on_exhausted="raise"`` — the query service's deadline
-        # path).  In degrade mode the reference run is the recovery
-        # itself and must be allowed to finish.
-        budget = (
-            Budget(steps=budget_steps, seconds=budget_seconds)
-            if on_exhausted == "raise"
-            and (budget_steps is not None or budget_seconds is not None)
-            else None
-        )
-        if budget is not None:
-            with activate(ExecutionContext(budget, None)):
-                rows = _evaluate_rows(trees, queries, "reference", indexes)
-        else:
-            rows = _evaluate_rows(trees, queries, "reference", indexes)
-        report = ChunkReport(
-            index, start, stop, "reference", False, None,
-            time.perf_counter() - started,
-            steps=budget.steps if budget is not None else 0,
-        )
-        return index, rows, report
-    attempt = engine  # "fast", "vectorized", or the auto per-query mix
-    attempted_name = "auto" if isinstance(engine, tuple) else engine
-    injector = FaultInjector(fault) if fault is not None else None
-    budget = (
-        Budget(steps=budget_steps, seconds=budget_seconds)
-        if budget_steps is not None or budget_seconds is not None
+        trees, indexes = _warm_chunk(task.token, task.start, task.stop, trees)
+    # A reference chunk has no engine to degrade to, so its budget
+    # applies only when exhaustion is the caller's verdict
+    # (``on_exhausted="raise"`` — the query service's deadline path)
+    # and it ignores injected faults.
+    reference = task.engine == "reference"
+    budget = None
+    if (task.budget_steps is not None or task.budget_seconds is not None) and (
+        not reference or task.on_exhausted == "raise"
+    ):
+        budget = Budget(steps=task.budget_steps, seconds=task.budget_seconds)
+    injector = (
+        FaultInjector(task.fault)
+        if task.fault is not None and not reference
         else None
     )
+    context = (
+        activate(ExecutionContext(budget, injector))
+        if budget is not None or injector is not None
+        else nullcontext()
+    )
     try:
-        if injector is not None or budget is not None:
-            with activate(ExecutionContext(budget, injector)):
-                rows = (
-                    _evaluate_packed(lanes, queries, engine)
-                    if lanes is not None
-                    else _evaluate_rows(trees, queries, attempt, indexes)
-                )
-        elif lanes is not None:
-            rows = _evaluate_packed(lanes, queries, engine)
-        else:
-            rows = _evaluate_rows(trees, queries, attempt, indexes)
-        report = ChunkReport(
-            index, start, stop, attempted_name, False, None,
-            time.perf_counter() - started,
-            steps=budget.steps if budget is not None else 0,
-        )
-    except ParseError:
-        raise  # the caller's error: the reference engine would refuse too
-    except ResourceExhausted as exc:
-        if on_exhausted == "raise":
+        with context:
+            rows = _evaluate_rows(
+                trees, task.queries, task.engine,
+                lanes if lanes is not None else indexes,
+            )
+    except (ResourceExhausted, EngineError) as exc:
+        if reference or (
+            isinstance(exc, ResourceExhausted) and task.on_exhausted == "raise"
+        ):
             # The query service's contract: an expired deadline or a
             # spent quota is the *caller's* verdict to deliver, not a
             # licence to keep burning the reference engine on it.
             raise
-        if trees is None:  # the packed attempt: degrade needs real trees
-            trees, indexes = _warm_chunk(
-                token, start, stop, _shard_trees(shard)
-            )
-        rows = _evaluate_rows(trees, queries, "reference", indexes)
-        report = ChunkReport(
-            index, start, stop, "reference", True,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - started,
+        # The resilience contract at chunk granularity: a fault or an
+        # exhausted budget costs this chunk its fast path, never the
+        # batch its answers or their order.
+        return _degrade(
+            task, trees, indexes, started, f"{type(exc).__name__}: {exc}",
             steps=budget.steps if budget is not None else 0,
         )
-    except EngineError as exc:
-        # The PR-4 contract at chunk granularity: an engine fault costs
-        # this chunk its fast path, never the batch its answers or
-        # their order.
-        if trees is None:
-            trees, indexes = _warm_chunk(
-                token, start, stop, _shard_trees(shard)
-            )
-        rows = _evaluate_rows(trees, queries, "reference", indexes)
-        report = ChunkReport(
-            index, start, stop, "reference", True,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - started,
-            steps=budget.steps if budget is not None else 0,
-        )
-    return index, rows, report
+    return rows, ChunkReport(
+        task.index, task.start, task.stop,
+        "auto" if isinstance(task.engine, tuple) else task.engine,
+        False, None, time.perf_counter() - started,
+        steps=budget.steps if budget is not None else 0,
+    )
 
 
 def _chunk_bounds(
-    count: int, chunk_size: Optional[int], workers: int
+    start: int,
+    stop: int,
+    chunk_size: Optional[int],
+    workers: int,
+    cut=None,
 ) -> Tuple[Tuple[int, int], ...]:
-    """Contiguous ``[start, stop)`` chunk intervals covering ``count``
-    trees.  The default size aims at ~4 chunks per worker (or ~4 chunks
-    total when serial) so one slow chunk cannot straggle the pool."""
-    if count == 0:
+    """Contiguous ``[lo, hi)`` chunk intervals covering ``[start,
+    stop)``.  The default size aims at ~4 chunks per worker (or ~4
+    chunks total when serial) so one slow chunk cannot straggle the
+    pool.  ``cut(position)`` — the store's segment ends — caps each
+    chunk so none spans two segments."""
+    if stop <= start:
         return ()
     if chunk_size is None:
-        lanes = 4 * max(1, workers)
-        chunk_size = max(1, -(-count // lanes))
+        chunk_size = max(1, -(-(stop - start) // (4 * max(1, workers))))
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    return tuple(
-        (start, min(start + chunk_size, count))
-        for start in range(0, count, chunk_size)
-    )
+    bounds = []
+    position = start
+    while position < stop:
+        hi = min(position + chunk_size, stop)
+        if cut is not None:
+            hi = min(hi, cut(position))
+        bounds.append((position, hi))
+        position = hi
+    return tuple(bounds)
 
 
 def run_batch(
@@ -713,10 +639,11 @@ def run_batch(
     index → :class:`~repro.resilience.faults.Fault` for the injection
     harness; ``budget_steps`` bounds each chunk's fast attempt.
     ``pool`` reuses caller-owned executors (warm workers) instead of
-    spawning fresh ones per call — either one pool or a sequence of
-    single-worker pools (as :class:`~repro.corpus.TreeCorpus` keeps);
-    with a sequence, chunk *i* always routes to pool ``i % len(pool)``,
-    so a chunk revisits the same worker batch after batch.  ``indexes``
+    spawning fresh ones per call — one pool, a sequence of
+    single-worker pools, or a corpus's :class:`WorkerPools` (which
+    also heals a dead worker's slot); with a sequence, chunk *i* always
+    routes to pool ``i % len(pool)``, so a chunk revisits the same
+    worker batch after batch.  ``indexes``
     supplies pre-built pinned indexes, used on the in-process path
     only.  ``token`` (supplied by ``TreeCorpus``) marks the tree
     sequence as immutable so routed workers may keep per-chunk trees
@@ -734,13 +661,12 @@ def run_batch(
     ``bounds`` overrides the automatic chunking with explicit
     ``[start, stop)`` intervals (as :class:`~repro.corpus.CorpusStore`
     passes, segment-aligned).  ``shard_for`` — a callable mapping a
-    chunk's bounds to a ``(segment path, generation, lo, hi, sidecar)``
-    shard — makes every chunk mmap-lazy, serial or fanned out: chunks
-    ship *no trees at all* and each worker (or the parent, serially)
-    loads only its own shard's byte range; ``trees`` may then be any
-    lazy sequence (it is never materialized here).  When ``sidecar``
-    names a valid index sidecar and the chunk is wholly vectorized, the
-    chunk skips tree and index materialization entirely
+    chunk's bounds to a :data:`Shard` — makes every chunk mmap-lazy,
+    serial or fanned out: chunks ship *no trees at all* and each worker
+    (or the parent, serially) loads only its own shard's byte range;
+    ``trees`` is then unused and ``bounds`` required.  When the shard
+    names a valid index sidecar and every query rides the stacked
+    pass, the chunk skips tree and index materialization entirely
     (:func:`_shard_lanes`).
 
     The service-facing knobs: ``budget_seconds`` adds a wall-clock
@@ -754,7 +680,8 @@ def run_batch(
     pile every query on pool 0.  ``worker_retries`` resubmits a chunk
     whose worker *process* died up to that many times, with exponential
     ``retry_backoff`` sleeps, on a fresh single-worker pool obtained
-    from ``replace_pool(slot)`` (or a throwaway one); only after the
+    from ``replace_pool(slot)`` (the :class:`WorkerPools`'s own heal
+    when ``pool`` is one; else a throwaway pool); only after the
     attempts are spent does the chunk degrade to an in-parent reference
     run, as before.
     """
@@ -773,6 +700,14 @@ def run_batch(
     queries = tuple(queries)
     for query in queries:
         compile_query(query)  # fail fast, warm the (inheritable) plans
+    if bounds is None:
+        bounds = _chunk_bounds(0, len(trees), chunk_size, workers)
+    bounds = tuple(bounds)
+    # The length of the tree sequence the bounds index into; a store's
+    # is never materialized, so its known length is the last bound.
+    count = len(trees)
+    if shard_for is not None:
+        count = bounds[-1][1] if bounds else 0
     plans: Optional[Tuple[Plan, ...]] = None
     chunk_engine: Union[str, Tuple[str, ...]] = engine
     if engine == "auto":
@@ -788,134 +723,122 @@ def run_batch(
             "vectorized"
             if (
                 plan.engine == "fast"
-                and len(trees) > 1
+                and count > 1
                 and _ir_batch_plan(query) is not None
             )
             else plan.engine
             for query, plan in zip(queries, plans)
         )
-    faults = dict(faults or {})
-    if bounds is None:
-        bounds = _chunk_bounds(len(trees), chunk_size, workers)
-    else:
-        bounds = tuple(bounds)
-    payloads: List[_ChunkPayload] = []
-    for chunk_index, (start, stop) in enumerate(bounds):
-        chunk_indexes = None
-        if indexes is not None and workers == 0:
-            chunk_indexes = tuple(indexes[start:stop])
-        shard = None
-        chunk_trees: Optional[Tuple[Tree, ...]]
-        if shard_for is not None:
+    faults = faults or {}
+    tasks = [
+        ChunkTask(
+            index=chunk_index,
+            start=start,
+            stop=stop,
             # Store chunks ship byte coordinates, never pickles — and
             # the serial path takes the same shard (and packed sidecar)
             # route in-process, so zero-rebuild does not need a pool.
-            shard = shard_for(start, stop)
-            chunk_trees = None
-        else:
-            chunk_trees = tuple(trees[start:stop])
-        payloads.append((
-            chunk_index, start, stop, chunk_trees, queries,
-            chunk_engine, budget_steps, faults.get(chunk_index),
-            chunk_indexes, token, shard, budget_seconds, on_exhausted,
-        ))
-
-    results: Dict[int, Tuple] = {}
-    reports: Dict[int, ChunkReport] = {}
-    if workers == 0 or len(payloads) == 0:
-        for payload in payloads:
-            chunk_index, rows, report = _run_chunk(payload)
-            results[chunk_index] = rows
-            reports[chunk_index] = report
+            trees=None if shard_for is not None else tuple(trees[start:stop]),
+            queries=queries,
+            engine=chunk_engine,
+            budget_steps=budget_steps,
+            budget_seconds=budget_seconds,
+            on_exhausted=on_exhausted,
+            fault=faults.get(chunk_index),
+            indexes=(
+                tuple(indexes[start:stop])
+                if indexes is not None and workers == 0
+                else None
+            ),
+            token=token,
+            shard=shard_for(start, stop) if shard_for is not None else None,
+        )
+        for chunk_index, (start, stop) in enumerate(bounds)
+    ]
+    if workers == 0 or not tasks:
+        answers = [_run_chunk(task) for task in tasks]
+        return _batch_result(queries, answers, workers, plans)
+    owned = None
+    if isinstance(pool, WorkerPools):
+        replace_pool = partial(pool.heal, workers)
+        pool = pool.routed(workers)
+    if pool is None:
+        owned = pools = _make_pools(workers)
+    elif isinstance(pool, ProcessPoolExecutor):
+        pools = (pool,)
     else:
-        owned = None
-        if pool is None:
-            owned = pools = _make_pools(workers)
-        elif isinstance(pool, ProcessPoolExecutor):
-            pools = (pool,)
-        else:
-            pools = tuple(pool)
-        try:
-            futures = []
-            for payload in payloads:
-                target = pools[(payload[0] + route) % len(pools)]
-                futures.append(target.submit(_run_chunk, _wire(target, payload)))
-            for payload, future in zip(payloads, futures):
-                chunk_index, start, stop = payload[0], payload[1], payload[2]
-                slot = (chunk_index + route) % len(pools)
-                try:
-                    chunk_index, rows, report = future.result()
-                    if rows == _CACHE_MISS:
-                        # The routed worker lost its warm state (e.g. a
-                        # restarted process): run the full chunk here
-                        # and let the next batch re-ship the trees.
-                        _shipped(pools[slot]).discard((token, start, stop))
-                        chunk_index, rows, report = _run_chunk(payload)
-                except (ParseError, ValueError):
-                    raise
-                except ResourceExhausted:
-                    # Only reaches here under on_exhausted="raise":
-                    # degrade-mode workers absorb exhaustion into a
-                    # reference rerun themselves.
-                    raise
-                except Exception as exc:  # a broken pool, a dead worker
-                    recovered = _retry_chunk(
-                        payload, worker_retries, retry_backoff,
-                        replace_pool, slot, on_exhausted,
+        pools = tuple(pool)
+    try:
+        slots = [(task.index + route) % len(pools) for task in tasks]
+        futures = [
+            pools[slot].submit(_run_chunk, _wire(pools[slot], task))
+            for task, slot in zip(tasks, slots)
+        ]
+        answers = []
+        for task, slot, future in zip(tasks, slots, futures):
+            try:
+                answer = future.result()
+                if answer[0] == _CACHE_MISS:
+                    # The routed worker lost its warm state (e.g. a
+                    # restarted process): run the full chunk here and
+                    # let the next batch re-ship the trees.
+                    _shipped(pools[slot]).discard(
+                        (task.token, task.start, task.stop)
                     )
-                    if recovered is not None:
-                        chunk_index, rows, report = recovered
-                    else:
-                        # Last-resort degradation: answer the chunk
-                        # here, on the engine no fault has ever
-                        # indicted.
-                        fallback_trees = payload[3]
-                        if fallback_trees is None and payload[10] is not None:
-                            fallback_trees = _shard_trees(payload[10])
-                        rows = _evaluate_rows(
-                            fallback_trees, payload[4], "reference", None
-                        )
-                        report = ChunkReport(
-                            chunk_index, start, stop, "reference", True,
-                            f"worker failed: {type(exc).__name__}: {exc}",
-                            0.0, retries=worker_retries,
-                        )
-                results[chunk_index] = rows
-                reports[chunk_index] = report
-        finally:
-            if owned is not None:
-                for spare in owned:
-                    spare.shutdown()
+                    answer = _run_chunk(task)
+            except (ValueError, ResourceExhausted):
+                # Parse errors are the caller's; exhaustion reaches
+                # here only under on_exhausted="raise" (degrade-mode
+                # workers absorb it into a reference rerun themselves).
+                raise
+            except Exception as exc:  # a broken pool, a dead worker
+                answer = _retry_chunk(
+                    task, worker_retries, retry_backoff, replace_pool, slot
+                )
+                if answer is None:
+                    # Last-resort degradation: answer the chunk here,
+                    # on the engine no fault has ever indicted.
+                    answer = _degrade(
+                        task,
+                        task.trees if task.trees is not None
+                        else _shard_trees(task.shard),
+                        None, time.perf_counter(),
+                        f"worker failed: {type(exc).__name__}: {exc}",
+                        retries=worker_retries,
+                    )
+            answers.append(answer)
+    finally:
+        for spare in owned or ():
+            spare.shutdown()
+    return _batch_result(queries, answers, workers, plans)
 
-    ordered_rows = []
-    for chunk_index in range(len(payloads)):
-        ordered_rows.extend(results[chunk_index])
+
+def _batch_result(queries, answers, workers, plans) -> BatchResult:
     return BatchResult(
         queries=queries,
-        rows=tuple(ordered_rows),
-        chunks=tuple(reports[i] for i in range(len(payloads))),
+        rows=tuple(row for rows, _ in answers for row in rows),
+        chunks=tuple(report for _, report in answers),
         workers=workers,
         plans=plans,
     )
 
 
 def _retry_chunk(
-    payload: _ChunkPayload,
+    task: ChunkTask,
     attempts: int,
     backoff: float,
     replace_pool,
     slot: int,
-    on_exhausted: str,
 ):
     """Bounded resubmission of a chunk whose worker died.
 
     Each attempt sleeps ``backoff * 2**attempt`` then reruns the *full*
-    payload (a fresh worker holds no warm state) on a replacement pool:
+    task (a fresh worker holds no warm state) on a replacement pool:
     ``replace_pool(slot)`` lets the pool's owner heal its routed slot in
     place — later batches then route to the healed worker — while a
     ``None`` owner gets a throwaway single-worker pool per attempt.
-    Returns the ``(index, rows, report)`` triple with the retry count
-    stamped on the report, or ``None`` when every attempt died too.
+    Returns ``(rows, report)`` with the retry count stamped on the
+    report, or ``None`` when every attempt died too.
     """
     for attempt in range(attempts):
         time.sleep(backoff * (2 ** attempt))
@@ -924,22 +847,10 @@ def _retry_chunk(
         if fresh is None:
             throwaway = fresh = _make_pools(1)[0]
         try:
-            index, rows, report = fresh.submit(_run_chunk, payload).result()
-            if rows == _CACHE_MISS:  # pragma: no cover - full payload sent
-                continue
-            if report is not None:
-                report = ChunkReport(
-                    report.index, report.start, report.stop, report.engine,
-                    report.fell_back, report.error, report.seconds,
-                    steps=report.steps, retries=attempt + 1,
-                )
-            return index, rows, report
-        except (ParseError, ValueError):
+            rows, report = fresh.submit(_run_chunk, task).result()
+            return rows, dataclasses.replace(report, retries=attempt + 1)
+        except (ValueError, ResourceExhausted):
             raise
-        except ResourceExhausted:
-            if on_exhausted == "raise":
-                raise
-            continue  # pragma: no cover - degrade mode absorbs these
         except Exception:
             continue  # this worker died as well: back off harder
         finally:
@@ -956,24 +867,18 @@ def _shipped(pool: ProcessPoolExecutor) -> set:
     return cache
 
 
-def _wire(pool: ProcessPoolExecutor, payload: _ChunkPayload) -> _ChunkPayload:
-    """The payload as actually sent: once a routed worker has a chunk's
+def _wire(pool: ProcessPoolExecutor, task: ChunkTask) -> ChunkTask:
+    """The task as actually sent: once a routed worker has a chunk's
     trees warm, later batches ship ``trees=None`` instead of re-pickling
     the chunk — the single biggest per-batch cost at high tree counts."""
-    (chunk_index, start, stop, trees, queries, engine,
-     budget_steps, fault, indexes, token, shard,
-     budget_seconds, on_exhausted) = payload
-    if token is None or indexes is not None or trees is None:
-        return payload  # shard chunks already ship no trees
+    if task.token is None or task.indexes is not None or task.trees is None:
+        return task  # shard chunks already ship no trees
     shipped = _shipped(pool)
-    key = (token, start, stop)
-    if key in shipped:
-        trees = None
-    else:
+    key = (task.token, task.start, task.stop)
+    if key not in shipped:
         shipped.add(key)
-    return (chunk_index, start, stop, trees, queries, engine,
-            budget_steps, fault, indexes, token, shard,
-            budget_seconds, on_exhausted)
+        return task
+    return dataclasses.replace(task, trees=None)
 
 
 def _make_pools(workers: int) -> Tuple[ProcessPoolExecutor, ...]:
@@ -990,3 +895,58 @@ def _make_pools(workers: int) -> Tuple[ProcessPoolExecutor, ...]:
         ProcessPoolExecutor(max_workers=1, mp_context=context)
         for _ in range(workers)
     )
+
+
+class WorkerPools:
+    """The routed worker pools one corpus owns: per worker count, one
+    single-worker pool per routing slot, created on first use, healed
+    in place when a worker dies, and shut down by :meth:`close`.  The
+    query service runs many batches over one corpus from concurrent
+    threads, so every method is thread-safe."""
+
+    def __init__(self) -> None:
+        self._routed: Dict[int, Tuple[ProcessPoolExecutor, ...]] = {}
+        self._lock = threading.Lock()
+
+    def routed(self, workers: int) -> Tuple[ProcessPoolExecutor, ...]:
+        """The pools for ``workers``, created on first use."""
+        with self._lock:
+            if workers not in self._routed:
+                self._routed[workers] = _make_pools(workers)
+            return self._routed[workers]
+
+    def heal(self, workers: int, slot: int) -> ProcessPoolExecutor:
+        """Replace pool ``slot`` (its worker died) with a fresh one, in
+        place — later batches route straight to the replacement."""
+        with self._lock:
+            routed = list(self._routed.get(workers) or _make_pools(workers))
+            try:
+                routed[slot].shutdown(wait=False)
+            except Exception:
+                pass
+            routed[slot] = _make_pools(1)[0]
+            self._routed[workers] = tuple(routed)
+            return routed[slot]
+
+    def health(self) -> Dict[int, bool]:
+        """Liveness per routing slot (True = its worker process is
+        running or not yet spawned)."""
+        health: Dict[int, bool] = {}
+        with self._lock:
+            routed = list(self._routed.values())
+        for pools in routed:
+            for slot, pool in enumerate(pools):
+                processes = list(getattr(pool, "_processes", {}).values())
+                alive = not getattr(pool, "_broken", False) and (
+                    not processes or any(p.is_alive() for p in processes)
+                )
+                health[slot] = health.get(slot, True) and alive
+        return health
+
+    def close(self) -> None:
+        """Shut down every pool."""
+        with self._lock:
+            routed, self._routed = self._routed, {}
+        for pools in routed.values():
+            for pool in pools:
+                pool.shutdown()

@@ -189,15 +189,10 @@ class SegmentWriter:
 
     def append(self, tree: Tree) -> int:
         """Write one tree; returns its record position in this segment."""
-        if self._sealed:
-            raise StoreError("segment already sealed")
-        payload = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
-        self._offsets.append(self._position)
-        self._rows.append(_stats_row(TreeStatistics.from_tree(tree)))
-        self._handle.write(_RECORD.pack(len(payload)))
-        self._handle.write(payload)
-        self._position += _RECORD.size + len(payload)
-        return len(self._offsets) - 1
+        return self.append_raw(
+            pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL),
+            _stats_row(TreeStatistics.from_tree(tree)),
+        )
 
     def append_raw(self, payload: bytes, row: list) -> int:
         """Copy one already-pickled record (with its statistics row)
@@ -245,39 +240,51 @@ class SegmentWriter:
                 pass
 
 
+def _header_id(data, path: str) -> int:
+    """The segment id in ``data``'s header, once its magic and format
+    version check out."""
+    magic, version, segment_id = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise StoreCorruptError(f"bad segment magic in {path}")
+    if version != FORMAT_VERSION:
+        raise StoreVersionError(
+            f"segment {path} is format v{version}; "
+            f"this build reads v{FORMAT_VERSION}"
+        )
+    return segment_id
+
+
+def _map(path: str):
+    """``path``'s bytes, memory-mapped read-only — or, on platforms (or
+    empty files) where ``mmap`` fails, read whole once: same API, no
+    laziness.  The file object closes as soon as the mapping exists
+    (the mapping keeps its own descriptor), so a reader that is dropped
+    without :meth:`close` leaks no handle, and its mapping goes away
+    with the last reference to it."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise StoreMissingError(f"no such file: {path}") from exc
+    with handle:
+        try:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return handle.read()
+
+
 class Segment:
     """A sealed segment, opened memory-mapped and read lazily.
 
     Construction reads only header, trailer and footer; record bytes
     are faulted in by the OS as :meth:`tree` / :meth:`trees` touch
-    them.  On platforms (or empty files) where ``mmap`` fails, the
-    whole file is read once as a fallback — same API, no laziness."""
+    them."""
 
     def __init__(self, path: str):
-        try:
-            self._file = open(path, "rb")
-        except FileNotFoundError as exc:
-            raise StoreMissingError(f"no such segment: {path}") from exc
         self.path = path
-        try:
-            self._view = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            self._file.seek(0)
-            self._view = self._file.read()
-        data = self._view
+        self._view = data = _map(path)
         if len(data) < _HEADER.size + _TRAILER.size:
             raise StoreCorruptError(f"segment too short: {path}")
-        magic, version, segment_id = _HEADER.unpack_from(data, 0)
-        if magic != MAGIC:
-            raise StoreCorruptError(f"bad segment magic in {path}")
-        if version != FORMAT_VERSION:
-            raise StoreVersionError(
-                f"segment {path} is format v{version}; "
-                f"this build reads v{FORMAT_VERSION}"
-            )
-        self.segment_id = segment_id
+        self.segment_id = _header_id(data, path)
         footer_len, trailer = _TRAILER.unpack_from(
             data, len(data) - _TRAILER.size
         )
@@ -308,12 +315,7 @@ class Segment:
 
     def tree(self, position: int) -> Tree:
         """Unpickle record ``position`` (touches only its byte range)."""
-        if not 0 <= position < self.tree_count:
-            raise IndexError(position)
-        start = self._offsets[position]
-        (length,) = _RECORD.unpack_from(self._view, start)
-        begin = start + _RECORD.size
-        payload = bytes(self._view[begin:begin + length])
+        payload = self.record_payload(position)
         try:
             tree = pickle.loads(payload)
         except Exception as exc:
@@ -354,7 +356,6 @@ class Segment:
     def close(self) -> None:
         if isinstance(self._view, mmap.mmap):
             self._view.close()
-        self._file.close()
 
     def __enter__(self) -> "Segment":
         return self
@@ -404,14 +405,7 @@ def recover_segment(path: str) -> Dict[str, object]:
         raise StoreMissingError(f"no such segment: {path}") from exc
     if len(data) < _HEADER.size:
         raise StoreCorruptError(f"segment {path}: header is torn")
-    magic, version, segment_id = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise StoreCorruptError(f"bad segment magic in {path}")
-    if version != FORMAT_VERSION:
-        raise StoreVersionError(
-            f"segment {path} is format v{version}; "
-            f"this build reads v{FORMAT_VERSION}"
-        )
+    segment_id = _header_id(data, path)
     # If a trailer parses, trust the footer's record_end (the tail
     # beyond it is footer bytes, not records); otherwise scan to EOF.
     limit = len(data)
@@ -508,19 +502,8 @@ class Sidecar:
     into a rebuild, never a crash."""
 
     def __init__(self, path: str):
-        try:
-            self._file = open(path, "rb")
-        except FileNotFoundError as exc:
-            raise StoreMissingError(f"no such sidecar: {path}") from exc
         self.path = path
-        try:
-            self._view = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            self._file.seek(0)
-            self._view = self._file.read()
-        data = self._view
+        self._view = data = _map(path)
         if len(data) < _SIDECAR_HEADER.size + len(SIDECAR_TRAILER):
             raise StoreCorruptError(f"sidecar too short: {path}")
         magic, version, segment_id, generation, count = (
@@ -577,7 +560,6 @@ class Sidecar:
         self._mem.release()
         if isinstance(self._view, mmap.mmap):
             self._view.close()
-        self._file.close()
 
     def __enter__(self) -> "Sidecar":
         return self

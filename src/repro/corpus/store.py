@@ -34,9 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.index import (
@@ -48,7 +46,7 @@ from ..engine.index import (
 )
 from ..engine.stats import CorpusStatistics, _fingerprint
 from ..trees.tree import Tree
-from .executor import BatchResult, _make_pools, run_batch
+from .executor import BatchResult, WorkerPools, _chunk_bounds, run_batch
 from .query import CorpusQuery
 from .segment import (
     Segment,
@@ -204,8 +202,7 @@ class CorpusStore:
         self._use_sidecars = True
         # segment index -> (generation checked, (sidecar path, tag) | None)
         self._sidecar_ok: Dict[int, Tuple[int, Optional[Tuple[str, int]]]] = {}
-        self._pools: Dict[int, Tuple[ProcessPoolExecutor, ...]] = {}
-        self._pool_lock = threading.Lock()
+        self.pools = WorkerPools()
         self._lock_path: Optional[str] = None  # held writer lock, if any
         digest = hashlib.sha1(
             os.path.abspath(path).encode("utf-8")
@@ -308,10 +305,7 @@ class CorpusStore:
             segment.close()
         self._segments.clear()
         self._loaded.clear()
-        pools, self._pools = self._pools, {}
-        for routed in pools.values():
-            for pool in routed:
-                pool.shutdown()
+        self.pools.close()
         _release_writer_lock(self._lock_path)
         self._lock_path = None
 
@@ -529,6 +523,7 @@ class CorpusStore:
             self._segment_blobs(segment_index) if self._use_sidecars else None
         )
         rewrite_path = segment_path + ".rewrite"
+        side_path = sidecar_path(segment_path)
         writer = SegmentWriter(rewrite_path, entry["id"])
         try:
             for i in range(segment.tree_count):
@@ -539,19 +534,16 @@ class CorpusStore:
                         segment.record_payload(i), segment.stats_row(i)
                     )
             footer = writer.seal()
+            self._evict_segment(segment_index)
+            # Retire the old sidecar *before* the segment bytes move: no
+            # crash window leaves a valid-looking sidecar describing
+            # bytes that are no longer there.
+            _unlink(side_path)
+            os.replace(rewrite_path, segment_path)
         except BaseException:
             writer.abort()
+            _unlink(rewrite_path)  # sealed: abort() leaves the file
             raise
-        self._evict_segment(segment_index)
-        # Retire the old sidecar *before* the segment bytes move: no
-        # crash window leaves a valid-looking sidecar describing bytes
-        # that are no longer there.
-        side_path = sidecar_path(segment_path)
-        try:
-            os.unlink(side_path)
-        except OSError:
-            pass
-        os.replace(rewrite_path, segment_path)
         next_gen = self.generation + 1
         self._record_seal(
             entry["id"], footer, True,
@@ -587,12 +579,6 @@ class CorpusStore:
             offset += entry["trees"]
         raise IndexError(position)  # pragma: no cover - manifest counts
 
-    def _segment_start(self, segment_index: int) -> int:
-        return sum(
-            entry["trees"]
-            for entry in self._manifest["segments"][:segment_index]
-        )
-
     def _segment(self, segment_index: int) -> Segment:
         segment = self._segments.get(segment_index)
         if segment is None:
@@ -626,12 +612,10 @@ class CorpusStore:
         entry = self._manifest["segments"][segment_index]
         return sidecar_path(os.path.join(self.path, entry["name"]))
 
-    def _valid_sidecar_blobs(
-        self, segment_index: int
-    ) -> Optional[List[bytes]]:
-        """Every blob of a segment's sidecar, or ``None`` when the
-        sidecar is missing, corrupt, or tagged for a different version
-        of the segment's bytes."""
+    def _read_valid_sidecar(self, segment_index: int, read):
+        """``read(sidecar)`` on a segment's open sidecar, or ``None``
+        when the sidecar is missing, corrupt, or tagged for a different
+        version of the segment's bytes."""
         entry = self._manifest["segments"][segment_index]
         tag = entry.get("sidecar_gen")
         if tag is None:
@@ -643,10 +627,24 @@ class CorpusStore:
                     and sidecar.generation == tag
                     and sidecar.count == entry["trees"]
                 ):
-                    return sidecar.blobs()
+                    return read(sidecar)
         except (OSError, StoreError):
             pass
         return None
+
+    def _valid_sidecar_blobs(
+        self, segment_index: int
+    ) -> Optional[List[bytes]]:
+        """Every blob of a segment's valid sidecar, or ``None``."""
+        return self._read_valid_sidecar(segment_index, Sidecar.blobs)
+
+    def _record_blobs(self, segment_index: int) -> List[bytes]:
+        """Every index blob of a segment, rebuilt from its records."""
+        segment = self._segment(segment_index)
+        return [
+            serialize_index(TreeIndex(segment.tree(i)))
+            for i in range(segment.tree_count)
+        ]
 
     def _segment_blobs(self, segment_index: int) -> List[bytes]:
         """Every index blob of a segment — from its sidecar when the
@@ -654,11 +652,7 @@ class CorpusStore:
         existing = self._valid_sidecar_blobs(segment_index)
         if existing is not None:
             return existing
-        segment = self._segment(segment_index)
-        return [
-            serialize_index(TreeIndex(segment.tree(i)))
-            for i in range(segment.tree_count)
-        ]
+        return self._record_blobs(segment_index)
 
     def _rebuild_sidecar(
         self, segment_index: int
@@ -667,13 +661,9 @@ class CorpusStore:
         and retag the manifest entry — no generation bump, the corpus
         bytes did not change."""
         entry = self._manifest["segments"][segment_index]
-        segment = self._segment(segment_index)
-        blobs = [
-            serialize_index(TreeIndex(segment.tree(i)))
-            for i in range(segment.tree_count)
-        ]
         path = self._sidecar_file(segment_index)
         tag = self.generation
+        blobs = self._record_blobs(segment_index)
         write_sidecar(path, entry["id"], tag, blobs)
         entry["sidecar_gen"] = tag
         self._save_manifest()
@@ -693,20 +683,9 @@ class CorpusStore:
         cached = self._sidecar_ok.get(segment_index)
         if cached is not None and cached[0] == self.generation:
             return cached[1]
-        entry = self._manifest["segments"][segment_index]
-        tag = entry.get("sidecar_gen")
-        spec: Optional[Tuple[str, int]] = None
-        if tag is not None:
-            try:
-                with Sidecar(self._sidecar_file(segment_index)) as sidecar:
-                    if (
-                        sidecar.segment_id == entry["id"]
-                        and sidecar.generation == tag
-                        and sidecar.count == entry["trees"]
-                    ):
-                        spec = (sidecar.path, tag)
-            except (OSError, StoreError):
-                spec = None
+        spec = self._read_valid_sidecar(
+            segment_index, lambda sidecar: (sidecar.path, sidecar.generation)
+        )
         if spec is None and not self.readonly:
             spec = self._rebuild_sidecar(segment_index)
         self._sidecar_ok[segment_index] = (self.generation, spec)
@@ -770,8 +749,14 @@ class CorpusStore:
     def recover(self) -> int:
         """Reseal every torn segment in place (dropping torn tail
         records), refresh the manifest, and return how many segments
-        needed repair.  The counterpart of a crash mid-ingest."""
+        needed repair.  The counterpart of a crash mid-ingest; it also
+        removes the write-aside file of a crashed :meth:`replace`."""
         self._writable()
+        named = {entry["name"] for entry in self._manifest["segments"]}
+        for name in os.listdir(self.path):
+            # A replace that died between its seal and its swap.
+            if name.endswith(".seg.rewrite") and name not in named:
+                _unlink(os.path.join(self.path, name))
         repaired = 0
         for segment_index, entry in enumerate(self._manifest["segments"]):
             segment_path = os.path.join(self.path, entry["name"])
@@ -783,10 +768,7 @@ class CorpusStore:
                 # with records dropped, a surviving sidecar would look
                 # valid while describing the pre-crash bytes.  Dropping
                 # it forces a lazy rebuild instead.
-                try:
-                    os.unlink(sidecar_path(segment_path))
-                except OSError:
-                    pass
+                _unlink(sidecar_path(segment_path))
                 footer = recover_segment(segment_path)
                 self._record_seal(entry["id"], footer, True)
                 repaired += 1
@@ -870,11 +852,8 @@ class CorpusStore:
                 writer.abort()
             for entry in new_entries:  # drop the aborted repack's files
                 fresh = os.path.join(self.path, entry["name"])
-                for victim in (fresh, sidecar_path(fresh)):
-                    try:
-                        os.unlink(victim)
-                    except OSError:
-                        pass
+                _unlink(fresh)
+                _unlink(sidecar_path(fresh))
             raise
         for segment_index in range(len(segments)):
             self._evict_segment(segment_index)
@@ -882,39 +861,17 @@ class CorpusStore:
         self._manifest["segments"] = new_entries
         self._bump()  # the commit point: one atomic manifest replace
         for old in old_files:
-            for victim in (old, sidecar_path(old)):
-                try:
-                    os.unlink(victim)
-                except OSError:
-                    pass
+            _unlink(old)
+            _unlink(sidecar_path(old))
         return len(new_entries)
 
     # -- querying -----------------------------------------------------
 
-    def _chunk_bounds(
-        self,
-        start: int,
-        stop: int,
-        chunk_size: Optional[int],
-        workers: int,
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Segment-aligned chunk intervals covering ``[start, stop)`` —
-        a chunk never spans segments, so each maps to one shard (one
-        contiguous byte range of one file)."""
-        if chunk_size is None:
-            lanes = 4 * max(1, workers)
-            span = max(1, stop - start)
-            chunk_size = max(1, -(-span // lanes))
-        bounds: List[Tuple[int, int]] = []
-        position = start
-        while position < stop:
-            segment_index, local = self._locate(position)
-            entry = self._manifest["segments"][segment_index]
-            segment_stop = position - local + entry["trees"]
-            chunk_stop = min(position + chunk_size, segment_stop, stop)
-            bounds.append((position, chunk_stop))
-            position = chunk_stop
-        return tuple(bounds)
+    def _segment_end(self, position: int) -> int:
+        """Where the segment holding ``position`` ends, corpus-wide."""
+        segment_index, local = self._locate(position)
+        entry = self._manifest["segments"][segment_index]
+        return position - local + entry["trees"]
 
     def _shard_for(
         self, start: int, stop: int
@@ -961,78 +918,37 @@ class CorpusStore:
         stop = self.tree_count if stop is None else min(stop, self.tree_count)
         if start < 0 or start > stop:
             raise ValueError(f"bad tree range [{start}, {stop})")
-        pool = None
-        if workers > 0:
-            with self._pool_lock:
-                pool = self._pools.get(workers)
-                if pool is None:
-                    pool = self._pools[workers] = _make_pools(workers)
         # Bounds stay store-global: chunk warm-state keys are
         # (token, start, stop), and two different windows must never
-        # alias the same key to different trees.
+        # alias the same key to different trees.  A chunk never spans
+        # segments, so each maps to one shard (one contiguous byte
+        # range of one file).
         return run_batch(
-            _StoreView(self, 0, stop),
+            (),
             queries,
             workers=workers,
             chunk_size=chunk_size,
             engine=engine,
             budget_steps=budget_steps,
             faults=faults,
-            pool=pool,
+            pool=self.pools,
             token=self.token,
             stats=self.statistics() if engine == "auto" else None,
-            bounds=self._chunk_bounds(start, stop, chunk_size, workers),
+            bounds=_chunk_bounds(
+                start, stop, chunk_size, workers, cut=self._segment_end
+            ),
             shard_for=self._shard_for,
             budget_seconds=budget_seconds,
             on_exhausted=on_exhausted,
             route=route,
             worker_retries=worker_retries,
             retry_backoff=retry_backoff,
-            replace_pool=(
-                (lambda slot: self._heal_pool(workers, slot))
-                if workers > 0 else None
-            ),
         )
 
-    def _heal_pool(self, workers: int, slot: int) -> ProcessPoolExecutor:
-        """Replace routed pool ``slot`` (its worker died) with a fresh
-        single-worker pool, in place."""
-        with self._pool_lock:
-            routed = list(self._pools.get(workers) or _make_pools(workers))
-            try:
-                routed[slot].shutdown(wait=False)
-            except Exception:
-                pass
-            routed[slot] = _make_pools(1)[0]
-            self._pools[workers] = tuple(routed)
-            return routed[slot]
 
-
-class _StoreView(Sequence):
-    """A window ``[start, stop)`` of a store as a lazy tree sequence.
-
-    ``run_batch`` only ever takes ``len()`` and contiguous slices of
-    it; slices materialize through the store's bounded segment LRU, so
-    the view never holds the corpus."""
-
-    def __init__(self, store: CorpusStore, start: int, stop: int):
-        self._store = store
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            lo, hi, step = item.indices(len(self))
-            if step != 1:
-                raise ValueError("store views slice contiguously")
-            return tuple(
-                self._store.tree(self._start + i) for i in range(lo, hi)
-            )
-        if item < 0:
-            item += len(self)
-        if not 0 <= item < len(self):
-            raise IndexError(item)
-        return self._store.tree(self._start + item)
+def _unlink(path: str) -> None:
+    """Remove a file if it is there."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass

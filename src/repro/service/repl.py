@@ -26,6 +26,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Optional, TextIO
 
+from ..corpus.executor import ENGINES
 from .protocol import ServiceError, raise_for_error
 
 __all__ = ["run_repl"]
@@ -101,7 +102,7 @@ def run_repl(
             emit(_HELP.rstrip())
             continue
         if command == "engine":
-            if rest not in ("fast", "reference", "auto", "vectorized"):
+            if rest not in ENGINES:
                 emit(f"error BAD_REQUEST: unknown engine {rest!r}")
                 continue
             options["engine"] = rest

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Dict, Optional, Sequence
 
-from ..corpus.executor import BatchResult, plan_queries
+from ..corpus.executor import ENGINES, BatchResult, plan_queries
 from ..corpus.query import KINDS, CorpusQuery
 from ..resilience.errors import ParseError, ReproError, ResourceExhausted
 from ..resilience.faults import Fault
@@ -182,7 +182,7 @@ class Dispatcher:
         start = _int_option(options, "start", 0)
         stop = _int_option(options, "stop", None)
         engine = options.get("engine", "fast")
-        if engine not in ("fast", "reference", "auto", "vectorized"):
+        if engine not in ENGINES:
             raise _bad_request(f"unknown engine {engine!r}")
         timeout_ms = _int_option(options, "timeout_ms", self.default_timeout_ms)
         budget_steps = _int_option(options, "budget_steps", None)
@@ -354,7 +354,9 @@ class Dispatcher:
     # -- health / stats ------------------------------------------------
 
     def _handle_health(self) -> dict:
-        pools = self._pool_health()
+        # Liveness of each routed pool slot the corpus holds.
+        owner = getattr(self.corpus, "pools", None)
+        pools = owner.health() if owner is not None else {}
         degraded = any(not alive for alive in pools.values())
         return ok_response(
             status="degraded" if degraded else "ok",
@@ -392,22 +394,6 @@ class Dispatcher:
         if self.resilience_log is not None:
             payload["resilience"] = self.resilience_log.snapshot()
         return payload
-
-    def _pool_health(self) -> Dict[int, bool]:
-        """Liveness of each routed pool slot the corpus currently holds
-        (True = its worker process is running or not yet spawned)."""
-        health: Dict[int, bool] = {}
-        pools = getattr(self.corpus, "_pools", None)
-        if not pools:
-            return health
-        for routed in pools.values():
-            for slot, pool in enumerate(routed):
-                processes = list(getattr(pool, "_processes", {}).values())
-                alive = not getattr(pool, "_broken", False) and (
-                    not processes or any(p.is_alive() for p in processes)
-                )
-                health[slot] = health.get(slot, True) and alive
-        return health
 
     # -- internals -----------------------------------------------------
 

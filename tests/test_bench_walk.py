@@ -5,6 +5,8 @@ their JSON stays well-formed."""
 import json
 from pathlib import Path
 
+import pytest
+
 from repro import bench
 
 
@@ -104,6 +106,44 @@ def test_check_flags_regressed_and_malformed_reports(tmp_path):
     assert any("unrecognised schema" in f for f in failures)
     assert any("no median speedups" in f for f in failures)
     assert any("unreadable" in f for f in failures)
+
+
+def _passing(op, bound):
+    return bound if op == "==" else bound + 1 if op == ">=" else bound / 2
+
+
+def _failing(op, bound):
+    return bound + 1 if op != ">=" else bound / 2
+
+
+@pytest.mark.parametrize(
+    "prefix, gate",
+    [
+        (prefix, gate)
+        for prefix, gates in bench.CHECK_GATES.items()
+        for gate in gates
+    ],
+    ids=lambda item: item if isinstance(item, str) else item[0],
+)
+def test_each_check_gate_fails_alone_past_its_bound(tmp_path, prefix, gate):
+    """A full-size report that clears every gate of its schema, then
+    the one gate pushed past its bound: exactly one failure."""
+    gates = bench.CHECK_GATES[prefix]
+    summary = {}
+    for key, op, bound, _ in gates:
+        summary[key.replace("*", "probe")] = _passing(op, bound)
+    path = tmp_path / "BENCH_gate.json"
+
+    def failures():
+        path.write_text(json.dumps({
+            "schema": f"{prefix}probe/1", "quick": False, "summary": summary,
+        }))
+        return bench.check_reports([path])
+
+    assert failures() == []
+    key, op, bound, _ = gate
+    summary[key.replace("*", "probe")] = _failing(op, bound)
+    assert len(failures()) == 1
 
 
 def test_check_cli_returns_failure_on_regression(tmp_path, capsys):

@@ -263,9 +263,9 @@ def test_corpus_random_is_deterministic():
 def test_corpus_reuses_pool_across_runs(trees):
     with TreeCorpus(trees) as corpus:
         first = corpus.run(QUERIES, workers=2)
-        pool = corpus._pools[2]
+        pool = corpus.pools.routed(2)
         second = corpus.run(QUERIES, workers=2)
-        assert corpus._pools[2] is pool
+        assert corpus.pools.routed(2) is pool
         assert first.rows == second.rows
         assert not first.fell_back and not second.fell_back
-    assert corpus._pools == {}
+    assert corpus.pools.health() == {}

@@ -442,6 +442,7 @@ def test_replace_crash_at_any_step_reopens_to_old_or_new(
         store.replace(6, edited, site=site)
     monkeypatch.undo()
     store.close()
+    assert _rewrite_files(root) == []
     if outcome == "new":
         trees[6] = edited
     packed = QUERIES[:4]  # root-context IR plans: the sidecar transport
@@ -450,12 +451,60 @@ def test_replace_crash_at_any_step_reopens_to_old_or_new(
         assert all(
             _same_tree(reopened.tree(i), t) for i, t in enumerate(trees)
         )
-        lanes_before = len(executor._WORKER_LANES)
+        executor._WORKER_SIDECARS.cache_clear()
         assert reopened.run(packed, engine="vectorized").rows == expected
-        assert len(executor._WORKER_LANES) > lanes_before  # packed path ran
+        assert executor._packed_chunks() > 0  # packed path ran
     monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
     with CorpusStore.open(root) as rebuilt:
         assert rebuilt.run(packed, engine="vectorized").rows == expected
+
+
+def _rewrite_files(root):
+    return [name for name in os.listdir(root) if name.endswith(".rewrite")]
+
+
+def test_a_failed_segment_swap_leaves_no_rewrite_file(tmp_path, monkeypatch):
+    """A replace that fails after sealing its write-aside segment but
+    before swapping it in removes the write-aside file and keeps the
+    old tree."""
+    trees = _trees(12, seed=13)
+    root = str(tmp_path / "s")
+    swap = os.replace
+
+    def failing_swap(src, dst):
+        if src.endswith(".rewrite"):
+            raise OSError("injected swap failure")
+        swap(src, dst)
+
+    with CorpusStore.create(root, segment_size=5) as store:
+        store.ingest(trees)
+        edited, site = _edited(trees[6], seed=95)
+        monkeypatch.setattr(store_module.os, "replace", failing_swap)
+        with pytest.raises(OSError, match="injected"):
+            store.replace(6, edited, site=site)
+        monkeypatch.undo()
+        assert _rewrite_files(root) == []
+        assert _same_tree(store.tree(6), trees[6])
+        assert store.run(QUERIES).rows == _naive_corpus_rows(trees, QUERIES)
+
+
+def test_recover_removes_a_crashed_replaces_rewrite_file(tmp_path):
+    """A process that died between a replace's seal and its swap never
+    ran its cleanup: recover() removes the orphaned write-aside file."""
+    trees = _trees(12, seed=14)
+    root = str(tmp_path / "s")
+    with CorpusStore.create(root, segment_size=5) as store:
+        store.ingest(trees)
+        segment = _segment_file(store, 0)
+        with open(segment, "rb") as source, open(
+            segment + ".rewrite", "wb"
+        ) as planted:
+            planted.write(source.read())
+    with CorpusStore.open(root) as store:
+        assert _rewrite_files(root) == ["seg-00000.seg.rewrite"]
+        assert store.recover() == 0
+        assert _rewrite_files(root) == []
+        assert store.run(QUERIES).rows == _naive_corpus_rows(trees, QUERIES)
 
 
 def test_failed_sidecar_write_still_retires_the_old_tree(tmp_path, monkeypatch):

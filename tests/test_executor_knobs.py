@@ -4,9 +4,12 @@ reference path's deadline), steps accounting on chunk reports,
 chunk→pool routing with ``route``, explicit ``bounds``, and the
 worker-crash retry ladder."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from repro.corpus import CorpusQuery, ask_query, xpath_query
+from repro.corpus import CorpusQuery, TreeCorpus, ask_query, xpath_query
 from repro.corpus.executor import _run_chunk, run_batch
 from repro.resilience.errors import ResourceExhausted
 from repro.resilience.faults import Fault
@@ -109,11 +112,11 @@ class TestStepsAccounting:
 
 
 class _FakeFuture:
-    def __init__(self, payload):
-        self._payload = payload
+    def __init__(self, task):
+        self._task = task
 
     def result(self):
-        return _run_chunk(self._payload)
+        return _run_chunk(self._task)
 
 
 class _FakePool:
@@ -123,10 +126,10 @@ class _FakePool:
     def __init__(self):
         self.chunks = []
 
-    def submit(self, fn, payload):
+    def submit(self, fn, task):
         assert fn is _run_chunk
-        self.chunks.append(payload[0])
-        return _FakeFuture(payload)
+        self.chunks.append(task.index)
+        return _FakeFuture(task)
 
 
 class TestRouting:
@@ -174,6 +177,51 @@ class TestInjectedEngineFault:
         assert result.rows == expected
         assert result.chunks[0].fell_back
         assert "injected" in result.chunks[0].error
+
+
+class TestReshipProtocol:
+    """A routed worker keeps a corpus token's chunks warm, so later
+    batches ship ``trees=None``; a worker that no longer holds a chunk
+    answers a cache miss, the parent reruns that chunk itself, and the
+    pool forgets it shipped the chunk so the next batch re-ships it."""
+
+    def test_a_worker_missing_the_chunk_gets_it_rerun_in_the_parent(
+        self, trees, expected
+    ):
+        token = f"reship-miss-{os.getpid()}"
+        key = (token, 0, len(trees))
+        pool = ProcessPoolExecutor(max_workers=1)
+        try:
+            pool._corpus_shipped = {key}  # the parent's stale belief
+            result = run_batch(
+                trees, [xpath_query("//δ")], workers=1, pool=pool,
+                token=token, chunk_size=len(trees),
+            )
+            assert key not in pool._corpus_shipped
+        finally:
+            pool.shutdown()
+        assert result.rows == expected
+        assert not result.fell_back
+
+    def test_a_second_routed_run_ships_no_trees(self, trees, monkeypatch):
+        shipped = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, task, *args, **kwargs):
+            shipped.append(task.trees)
+            return submit(pool, fn, task, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        queries = [xpath_query("//δ"), ask_query("exists x O_σ(x)")]
+        with TreeCorpus(trees) as corpus:
+            first = corpus.run(queries, workers=2)
+            cold, shipped[:] = list(shipped), []
+            second = corpus.run(queries, workers=2)
+        assert cold and all(chunk is not None for chunk in cold)
+        assert len(shipped) == len(cold)
+        assert all(chunk is None for chunk in shipped)
+        assert second.rows == first.rows
+        assert not second.fell_back
 
 
 @pytest.mark.faults

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.caching import KeyedLRU
-from repro.corpus import executor
+from repro.corpus import CorpusStore, executor
 from repro.resilience.log import ResilienceLog
 from repro.trees import parse_term
 
@@ -41,6 +41,7 @@ def _run_threads(target, count=THREADS):
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
 
 
@@ -201,7 +202,7 @@ class TestResilienceLogHammer:
 class TestWorkerCacheHammer:
     def test_concurrent_chunk_warming_loses_no_window(self):
         """Server dispatch threads warm chunks into one process's
-        ``_WORKER_TREES`` at once: no thread may trip over another's
+        ``_WORKER_CHUNKS`` at once: no thread may trip over another's
         insert, and no window may be lost."""
         tree = parse_term("σ(δ, σ(δ))")
         token = "hammer-token"
@@ -219,21 +220,52 @@ class TestWorkerCacheHammer:
 
         try:
             _run_threads(hammer, count=4)
-            keys = set(executor._WORKER_TREES)
+            tokens = set(executor._WORKER_CHUNKS)
+            keys = set(executor._WORKER_CHUNKS[token])
         finally:
             sys.setswitchinterval(saved)
-            executor._WORKER_TREES.clear()
-        assert keys == {
-            (token, start, start + 1) for start in range(4 * windows)
-        }
+            executor._WORKER_CHUNKS.clear()
+        assert tokens == {token}
+        assert keys == {(start, start + 1) for start in range(4 * windows)}
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_worker_gets_an_unheld_cache_lock(self):
-        """Pools fork workers while dispatch threads run chunks; a
-        child must never inherit the cache lock in its held state."""
-        with executor._WORKER_LOCK:  # a dispatch thread mid-bookkeeping
-            pid = os.fork()
-            if pid == 0:  # the child: the lock's holder is not here
-                os._exit(0 if executor._WORKER_LOCK.acquire(timeout=5) else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+
+class TestShardLoadsPastTheCacheBound:
+    """A store with more segments (and sidecars) than the worker caches
+    hold: dispatch threads loading shards evict each other's entries
+    all the time, and an evicted file must stay readable for every
+    thread still using it."""
+
+    @pytest.fixture(scope="class")
+    def shards(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("evict") / "store")
+        tree = parse_term("σ(δ, σ(δ))")
+        with CorpusStore.create(root, segment_size=2) as store:
+            store.ingest(tree for _ in range(140))  # 70 segments > 64
+            yield [
+                store._shard_for(lo, lo + 2)
+                for lo in range(0, store.tree_count, 2)
+            ]
+
+    @staticmethod
+    def _load_everything(load, shards, rounds=20):
+        def hammer(worker_id):
+            # Half the threads walk backwards: each then keeps reaching
+            # the entries the others are about to evict.
+            order = shards if worker_id % 2 == 0 else shards[::-1]
+            for _ in range(rounds):
+                for shard in order:
+                    assert load(shard)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(hammer, count=4)
+        finally:
+            sys.setswitchinterval(saved)
+
+    def test_segment_loads_never_see_a_closed_mapping(self, shards):
+        self._load_everything(executor._shard_trees, shards)
+
+    def test_sidecar_lanes_never_see_a_closed_mapping(self, shards):
+        assert all(shard[4] is not None for shard in shards)
+        self._load_everything(executor._shard_lanes, shards)
