@@ -262,7 +262,8 @@ def _print_chunk_stats(result, queries) -> None:
         note = f" [{chunk.error}]" if chunk.fell_back else ""
         print(
             f"  chunk {chunk.index}: trees {chunk.start}..{chunk.stop}"
-            f" via {chunk.engine} in {chunk.seconds * 1000:.1f}ms{note}"
+            f" via {chunk.engine} from {chunk.source}"
+            f" in {chunk.seconds * 1000:.1f}ms{note}"
         )
 
 

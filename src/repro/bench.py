@@ -1879,8 +1879,8 @@ def _print_serve_report(report: Dict) -> None:
 
 #: One cold window in a fresh process: open the store (sidecars on or
 #: off), answer the fixed vectorized window, and report wall time, the
-#: rows, and how many packed lanes the executor assembled — all shared
-#: caches are necessarily empty because the process is new.
+#: rows, and how many of the window's chunks ran from sidecar lanes —
+#: all shared caches are necessarily empty because the process is new.
 _COLDPATH_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -1900,8 +1900,7 @@ store.run(queries, stop=1, engine="vectorized")
 t0 = time.perf_counter()
 result = store.run(queries, stop=window, engine="vectorized")
 seconds = time.perf_counter() - t0
-from repro.corpus import executor
-lanes = executor._packed_chunks()
+lanes = sum(1 for chunk in result.chunks if chunk.source == "lanes")
 store.close()
 print(json.dumps({
     "seconds": seconds,
@@ -2162,7 +2161,7 @@ def _print_coldpath_report(report: Dict) -> None:
             f"{row['cold_sidecar_seconds'] * 1000:>7.1f}ms, rebuild "
             f"{row['cold_rebuild_seconds'] * 1000:>7.1f}ms, speedup "
             f"{row['speedup']:>5.2f}x "
-            f"({row['packed_lanes']} packed lanes, "
+            f"({row['packed_lanes']} lane-served chunks, "
             f"{row['disagreements']} disagreements)"
         )
     print("\ncached window replay through the dispatcher:")

@@ -15,9 +15,10 @@ of append-only segment files ingested by streaming (bounded memory),
 queried through the same batch executor with mmap-lazy shard loading
 in the workers, and editable in place with incremental index repair
 (:mod:`repro.corpus.store`).  Sealed segments carry generation-tied
-``.rpridx`` index sidecars (:class:`Sidecar`), so vectorized-eligible
-windows assemble their stacked shards straight from serialized index
-bytes — no tree unpickling, no per-tree index rebuild.
+``.rpridx`` index sidecars (:class:`Sidecar`), so a window whose
+queries all have IR plans assembles its stacked shards straight from
+serialized index bytes — no tree unpickling, no per-tree index
+rebuild — whatever the engine name, except an explicit ``reference``.
 
 >>> from repro.corpus import TreeCorpus, xpath_query
 >>> corpus = TreeCorpus.from_terms(["σ(δ, σ)", "δ(σ(δ))"])

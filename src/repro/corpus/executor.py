@@ -10,6 +10,14 @@ of the corpus:
 * each chunk evaluates its trees in order, building (or adopting) each
   tree's :class:`~repro.engine.index.TreeIndex` once and running every
   query against it — never once per (query, tree) cell;
+* where a chunk's indexes come from follows what is on disk, not the
+  engine name: a store chunk whose segment has a valid index sidecar,
+  and whose queries all have shared-IR plans, answers every query from
+  the sidecar's :class:`~repro.engine.index.PackedIndex` lanes in one
+  stacked pass and loads no tree — under ``fast``, ``vectorized`` and
+  every ``auto`` pick alike.  An explicit ``reference`` batch, a chunk
+  holding any query without an IR plan, and a missing or invalid
+  sidecar run on trees; :attr:`ChunkReport.source` says which ran;
 * with ``workers > 0`` chunks are fanned out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Workers inherit
   the already-compiled plans when the platform forks; otherwise each
@@ -21,14 +29,16 @@ of the corpus:
 
 Each chunk travels as one frozen :class:`ChunkTask`.  A worker process
 (or the parent, serially, where many service threads share it) keeps
-three pieces of warm state: the trees and indexes of one corpus
-token's chunks, and the open segment files and open index sidecars,
-each a 64-entry :class:`~repro.caching.KeyedLRU` keyed by file path
-and tagged with the generation the file was opened under.  A sidecar's
-entry also holds the :class:`PackedIndex` lanes parsed from it, so they
-leave together.  An evicted segment or sidecar is dropped, never
-closed: its mapping stays valid for every reader still using it, and
-goes away when the last one lets go.
+three pieces of warm state, each a 64-entry
+:class:`~repro.caching.KeyedLRU`: the trees and indexes of one corpus
+token's tree-path chunks, keyed by window, and the open segment files
+and open index sidecars, keyed by file path and tagged with the
+generation the file was opened under.  A sidecar's entry also holds
+the :class:`PackedIndex` lane parsed from each of its records, so
+overlapping windows parse a record once and the lanes leave with their
+sidecar.  An evicted segment or sidecar is dropped, never closed: its
+mapping stays valid for every reader still using it, and goes away
+when the last one lets go.
 
 Resilience (the PR-4 contract, lifted to chunks): the fast attempt of a
 chunk runs under an optional per-chunk :class:`~repro.resilience.Budget`
@@ -91,9 +101,11 @@ __all__ = [
 #: its own lane of one wide integer (:mod:`repro.engine.ir`), with
 #: per-tree fallback for queries outside the IR fragment; ``"auto"``
 #: lets the cost-based planner pick per query from the corpus's
-#: aggregate statistics (:mod:`repro.engine.planner`), upgrading
-#: fast picks to the vectorized pass when the batch is big enough to
-#: amortise the shard stacking.
+#: aggregate statistics (:mod:`repro.engine.planner`), and runs every
+#: fast pick that has an IR plan in the vectorized pass.  The name
+#: picks the evaluator only on trees: a store chunk with a valid index
+#: sidecar whose queries all have IR plans runs from the sidecar's
+#: lanes under every engine but ``"reference"``.
 ENGINES = ("fast", "reference", "auto", "vectorized")
 
 
@@ -104,8 +116,12 @@ class ChunkReport:
 
     ``steps`` is the budget fuel the chunk's successful attempt spent
     (0 when it ran without a budget) — the query service reconciles
-    per-session quotas against it.  ``retries`` counts worker-death
-    resubmissions that preceded the answer."""
+    per-session quotas against it.  A stacked pass (every lane-served
+    chunk) checkpoints once per plan step for the whole chunk, not once
+    per tree, so it spends far fewer.  ``retries`` counts worker-death
+    resubmissions that preceded the answer.  ``source`` names where the
+    chunk's indexes came from: ``"lanes"`` — its segment's index
+    sidecar, with no tree loaded — or ``"trees"``."""
 
     index: int
     start: int
@@ -116,6 +132,7 @@ class ChunkReport:
     seconds: float
     steps: int = 0
     retries: int = 0
+    source: str = "trees"
 
 
 @dataclass(frozen=True)
@@ -291,13 +308,21 @@ class ChunkTask:
     shard: Optional[Shard] = None
 
 
-#: Worker-side warm chunks: ``{token: {(start, stop): (trees,
-#: indexes)}}``.  A persistent pool's worker fills it on its first
+#: How many tree-path chunks one corpus token keeps warm per process.
+#: Lane-served store chunks never enter the map; every chunk that runs
+#: on trees does (sidecars off or invalid, an explicit ``reference``
+#: batch, a query without an IR plan, routed ``TreeCorpus`` windows),
+#: so it is bounded rather than growing with every distinct window.
+_WARM_CHUNKS = 64
+
+#: Worker-side warm chunks: ``{token: KeyedLRU((start, stop) → (trees,
+#: indexes))}``.  A persistent pool's worker fills it on its first
 #: batch over a corpus and then skips tree shipping, revalidation and
-#: index rebuilds on every later batch.  A new token retires the old
-#: one's chunks, so it holds one corpus's chunks at most.  Threads
-#: read and write single keys only, which needs no lock.
-_WORKER_CHUNKS: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
+#: index rebuilds on every later batch; a routed worker that evicted a
+#: chunk answers :data:`_CACHE_MISS` and the parent reruns it.  A new
+#: token retires the old one's chunks, so it holds one corpus's chunks
+#: at most.
+_WORKER_CHUNKS: Dict[str, KeyedLRU] = {}
 
 #: Worker-side open segments: path → ``(generation, Segment)``.  A
 #: request under another generation (any store mutation) replaces the
@@ -306,10 +331,11 @@ _WORKER_CHUNKS: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
 _WORKER_SEGMENTS = KeyedLRU(64, name="worker segments")
 
 #: Worker-side open index sidecars: path → ``(tag, Sidecar | None,
-#: {(lo, hi): lanes})``.  ``None`` caches a validation failure, so a
-#: corrupt or stale sidecar costs one open per tag, not one per chunk.
-#: The chunks' :class:`PackedIndex` lanes are zero-copy views of the
-#: sidecar's mapping and live in its entry, so they leave with it.
+#: {record: PackedIndex})``.  ``None`` caches a validation failure, so
+#: a corrupt or stale sidecar costs one open per tag, not one per
+#: chunk.  Each record's lane is parsed once, whatever windows cover
+#: it; lanes are zero-copy views of the sidecar's mapping and live in
+#: its entry, so they leave with it.
 _WORKER_SIDECARS = KeyedLRU(64, name="worker sidecars")
 
 #: Returned by a worker asked to run a chunk from warm state it does
@@ -347,23 +373,20 @@ def _shard_lanes(shard: Shard) -> Optional[Tuple[PackedIndex, ...]]:
             sidecar = None
         entry = (tag, sidecar, {})
         _WORKER_SIDECARS.put(path, entry)
-    _, sidecar, chunks = entry
+    _, sidecar, records = entry
     if sidecar is None:
         return None
-    lanes = chunks.get((lo, hi))
-    if lanes is None:
-        try:
-            lanes = tuple(PackedIndex(sidecar.blob(i)) for i in range(lo, hi))
-        except (StoreError, IndexFormatError, ValueError, IndexError):
-            return None  # corrupt blob: fall back to rebuilding from records
-        chunks[(lo, hi)] = lanes
-    return lanes
-
-
-def _packed_chunks() -> int:
-    """How many chunks' lanes this process holds — what the coldpath
-    bench and the sidecar tests read to see that the packed path ran."""
-    return sum(len(entry[2]) for entry in _WORKER_SIDECARS.values())
+    lanes = []
+    for i in range(lo, hi):
+        lane = records.get(i)
+        if lane is None:
+            try:
+                lane = PackedIndex(sidecar.blob(i))
+            except (StoreError, IndexFormatError, ValueError, IndexError):
+                return None  # corrupt blob: fall back to rebuilding from records
+            records[i] = lane
+        lanes.append(lane)
+    return tuple(lanes)
 
 
 def _warm_chunk(
@@ -379,16 +402,18 @@ def _warm_chunk(
     chunks = _WORKER_CHUNKS.get(token)
     if chunks is None:
         # A new corpus: retire the old one's chunks.  ``setdefault``
-        # hands every thread racing here the same dict, and ``list``
+        # hands every thread racing here the same map, and ``list``
         # copies the keys in one step.
-        chunks = _WORKER_CHUNKS.setdefault(token, {})
+        chunks = _WORKER_CHUNKS.setdefault(
+            token, KeyedLRU(_WARM_CHUNKS, name="worker chunks")
+        )
         for stale in [key for key in list(_WORKER_CHUNKS) if key != token]:
             _WORKER_CHUNKS.pop(stale, None)
     cached = chunks.get((start, stop))
     if cached is not None and len(cached[0]) == len(trees):
         return cached
     indexes = tuple(index_for(tree) for tree in trees)
-    chunks[(start, stop)] = (trees, indexes)
+    chunks.put((start, stop), (trees, indexes))
     return trees, indexes
 
 
@@ -484,7 +509,8 @@ def _degrade(
 ):
     """The one degrade path: answer the chunk on the reference engine —
     unbudgeted, since it is the recovery and must be allowed to finish —
-    and report why.  A packed attempt left no trees, so they load here."""
+    and report why.  A lane-served attempt left no trees, so they load
+    here."""
     if trees is None:
         trees, indexes = _warm_chunk(
             task.token, task.start, task.stop, _shard_trees(task.shard)
@@ -505,7 +531,18 @@ def _run_chunk(task: ChunkTask):
     """
     started = time.perf_counter()
     trees, indexes, lanes = task.trees, task.indexes, None
-    if trees is None:
+    # A store chunk with a valid sidecar whose queries all have IR
+    # plans takes its lanes straight from the sidecar bytes, whatever
+    # the engine name — no unpickling, no index builds.
+    if (
+        task.shard is not None
+        and task.shard[4] is not None
+        and task.engine != "reference"
+    ):
+        _, plans = _stacked_plans(task.queries, "vectorized")
+        if len(plans) == len(task.queries):
+            lanes = _shard_lanes(task.shard)
+    if trees is None and lanes is None:
         chunks = _WORKER_CHUNKS.get(task.token)
         cached = None
         if chunks is not None:
@@ -515,21 +552,12 @@ def _run_chunk(task: ChunkTask):
         elif task.shard is None:  # e.g. a fresh worker after a pool restart
             return _CACHE_MISS, None
         else:
-            # A store chunk.  When every query rides the stacked pass
-            # and the segment's index sidecar is valid, the lanes come
-            # straight from the sidecar bytes — no unpickling, no index
-            # builds.  Otherwise this worker loads its own shard and
-            # warms it under the store token.
-            if task.shard[4] is not None:
-                _, plans = _stacked_plans(task.queries, task.engine)
-                if len(plans) == len(task.queries):
-                    lanes = _shard_lanes(task.shard)
-            if lanes is None:
-                trees, indexes = _warm_chunk(
-                    task.token, task.start, task.stop,
-                    _shard_trees(task.shard),
-                )
-    elif indexes is None:
+            # This worker loads its own shard and warms it under the
+            # store token.
+            trees, indexes = _warm_chunk(
+                task.token, task.start, task.stop, _shard_trees(task.shard)
+            )
+    elif trees is not None and indexes is None:
         trees, indexes = _warm_chunk(task.token, task.start, task.stop, trees)
     # A reference chunk has no engine to degrade to, so its budget
     # applies only when exhaustion is the caller's verdict
@@ -554,7 +582,8 @@ def _run_chunk(task: ChunkTask):
     try:
         with context:
             rows = _evaluate_rows(
-                trees, task.queries, task.engine,
+                trees, task.queries,
+                "vectorized" if lanes is not None else task.engine,
                 lanes if lanes is not None else indexes,
             )
     except (ResourceExhausted, EngineError) as exc:
@@ -577,6 +606,7 @@ def _run_chunk(task: ChunkTask):
         "auto" if isinstance(task.engine, tuple) else task.engine,
         False, None, time.perf_counter() - started,
         steps=budget.steps if budget is not None else 0,
+        source="lanes" if lanes is not None else "trees",
     )
 
 
@@ -655,8 +685,9 @@ def run_batch(
     against the corpus statistics (``stats`` when supplied — as
     :meth:`~repro.corpus.TreeCorpus.statistics` caches — else computed
     here), records the decisions on ``BatchResult.plans``, and runs the
-    batch with that per-query mix; the per-chunk degrade contract is
-    unchanged.
+    batch with that per-query mix, every fast pick that has an IR plan
+    in the stacked pass whatever the chunk's size; the per-chunk
+    degrade contract is unchanged.
 
     ``bounds`` overrides the automatic chunking with explicit
     ``[start, stop)`` intervals (as :class:`~repro.corpus.CorpusStore`
@@ -664,10 +695,13 @@ def run_batch(
     chunk's bounds to a :data:`Shard` — makes every chunk mmap-lazy,
     serial or fanned out: chunks ship *no trees at all* and each worker
     (or the parent, serially) loads only its own shard's byte range;
-    ``trees`` is then unused and ``bounds`` required.  When the shard
-    names a valid index sidecar and every query rides the stacked
-    pass, the chunk skips tree and index materialization entirely
-    (:func:`_shard_lanes`).
+    ``trees`` is then unused and ``bounds`` required.  The index source
+    follows the sidecar, not the engine name: when the shard names a
+    valid index sidecar and every query has an IR plan, the chunk runs
+    every query from the sidecar's lanes and skips tree and index
+    materialization entirely (:func:`_shard_lanes`) — under ``fast``,
+    ``vectorized`` and every ``auto`` pick; only an explicit
+    ``reference`` batch keeps its trees.
 
     The service-facing knobs: ``budget_seconds`` adds a wall-clock
     deadline to each chunk's budget (cancelling work cooperatively at
@@ -703,11 +737,6 @@ def run_batch(
     if bounds is None:
         bounds = _chunk_bounds(0, len(trees), chunk_size, workers)
     bounds = tuple(bounds)
-    # The length of the tree sequence the bounds index into; a store's
-    # is never materialized, so its known length is the last bound.
-    count = len(trees)
-    if shard_for is not None:
-        count = bounds[-1][1] if bounds else 0
     plans: Optional[Tuple[Plan, ...]] = None
     chunk_engine: Union[str, Tuple[str, ...]] = engine
     if engine == "auto":
@@ -717,15 +746,12 @@ def run_batch(
         # The planner priced fast vs reference per query; the stacked
         # shard pass does the same bitset work as the fast path but
         # interprets each plan once per chunk instead of once per tree,
-        # so a fast pick upgrades to "vectorized" whenever a chunk can
-        # hold more than one tree (and the query fits the IR).
+        # so every fast pick that fits the IR runs "vectorized" on
+        # trees.  (A chunk served from sidecar lanes runs every pick
+        # from them.)
         chunk_engine = tuple(
             "vectorized"
-            if (
-                plan.engine == "fast"
-                and count > 1
-                and _ir_batch_plan(query) is not None
-            )
+            if plan.engine == "fast" and _ir_batch_plan(query) is not None
             else plan.engine
             for query, plan in zip(queries, plans)
         )

@@ -136,7 +136,8 @@ class SegmentWriter:
     The writer appends; it never seeks back into the record region, so
     a power cut mid-\\ :meth:`append` can tear at most the final
     record.  Call :meth:`seal` to write the footer and make the file a
-    valid :class:`Segment`; :meth:`abort` discards it."""
+    valid :class:`Segment`; :meth:`abort` discards what this writer
+    appended, before or after the seal."""
 
     def __init__(self, path: str, segment_id: int):
         self.path = path
@@ -147,6 +148,9 @@ class SegmentWriter:
         self._handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, segment_id))
         self._position = _HEADER.size
         self._sealed = False
+        #: ``(records, record end)`` of a resumed segment, what
+        #: :meth:`abort` rolls back to; ``None`` for a fresh one.
+        self._resumed: Optional[Tuple[int, int]] = None
 
     @classmethod
     def resume(cls, path: str, segment_id: int) -> "SegmentWriter":
@@ -177,6 +181,7 @@ class SegmentWriter:
         writer._handle.seek(record_end)
         writer._position = record_end
         writer._sealed = False
+        writer._resumed = (len(offsets), record_end)
         return writer
 
     @property
@@ -230,14 +235,33 @@ class SegmentWriter:
         return footer
 
     def abort(self) -> None:
-        """Close and delete the partial segment."""
-        if not self._sealed:
-            self._handle.close()
+        """Discard what this writer appended, sealed or not — for a
+        caller whose manifest has not taken the footer yet.  A fresh
+        segment's file is deleted; a resumed one is cut back to the
+        records it resumed with and resealed, so a failed ingest never
+        costs the records a store manifest already lists."""
+        self._handle.close()
+        if self._resumed is None:
             self._sealed = True
             try:
                 os.unlink(self.path)
             except OSError:
                 pass
+            return
+        count, record_end = self._resumed
+        del self._offsets[count:]
+        del self._rows[count:]
+        self._position = record_end
+        self._sealed = False
+        try:
+            self._handle = open(self.path, "r+b")
+            self._handle.truncate(record_end)
+            self._handle.seek(record_end)
+            self.seal()
+        finally:
+            if not self._sealed:  # the reseal failed: recover() salvages it
+                self._handle.close()
+                self._sealed = True
 
 
 def _header_id(data, path: str) -> int:

@@ -416,6 +416,8 @@ class CorpusStore:
             # The sidecar lands (tagged with the post-ingest generation)
             # before the manifest does: a crash in between reads as a
             # generation mismatch and a rebuild, never as stale indexes.
+            # A seal or sidecar write that raises leaves ``writer`` set
+            # for the abort below, which also undoes a finished seal.
             footer = writer.seal()
             tag: Optional[int] = None
             if self._use_sidecars:
@@ -473,7 +475,9 @@ class CorpusStore:
                 writer = None
         finally:
             if writer is not None:
-                writer.abort()  # error mid-stream: drop the torn segment
+                # Error mid-stream: drop a fresh segment, roll a resumed
+                # one back to the records the manifest lists.
+                writer.abort()
         if appended:
             self._bump()
         return appended
@@ -541,8 +545,7 @@ class CorpusStore:
             _unlink(side_path)
             os.replace(rewrite_path, segment_path)
         except BaseException:
-            writer.abort()
-            _unlink(rewrite_path)  # sealed: abort() leaves the file
+            writer.abort()  # unlinks the write-aside file, sealed or not
             raise
         next_gen = self.generation + 1
         self._record_seal(

@@ -1193,9 +1193,12 @@ class StoreVsSequential(EnginePair):
     (a tiny segment size forces several) and read back memory-mapped —
     and then queries the *store*.  All five query kinds are on the
     line, under both single-tree chunks and the store's default
-    segment-aligned chunking.  Any divergence in the record format,
-    the lazy segment loading, or the shard-aligned reassembly shows up
-    as an element-wise mismatch against the in-memory loop."""
+    segment-aligned chunking, and once more under ``engine="auto"``,
+    whose picks — reference ones included — a chunk with a valid
+    sidecar answers from its lanes.  Any divergence in the record
+    format, the lazy segment loading, the sidecar lanes, or the
+    shard-aligned reassembly shows up as an element-wise mismatch
+    against the in-memory loop."""
 
     name = "store/sequential"
 
@@ -1241,8 +1244,13 @@ class StoreVsSequential(EnginePair):
                         False, str(left), str(right), left_s, right_s
                     )
                 rechunked = store.run([query]).for_query(0)
+                if left != rechunked:
+                    return Outcome(
+                        False, str(left), str(rechunked), left_s, right_s
+                    )
+                planned = store.run([query], engine="auto").for_query(0)
             return Outcome(
-                left == rechunked, str(left), str(rechunked), left_s, right_s
+                left == planned, str(left), str(planned), left_s, right_s
             )
         finally:
             shutil.rmtree(tmp, ignore_errors=True)

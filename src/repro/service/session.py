@@ -344,6 +344,7 @@ class Dispatcher:
                     "error": c.error,
                     "steps": c.steps,
                     "retries": c.retries,
+                    "source": c.source,
                 }
                 for c in result.chunks
             ],

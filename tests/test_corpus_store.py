@@ -243,6 +243,61 @@ def test_crash_mid_ingest_is_recoverable(tmp_path):
         assert store.recover() == 0  # idempotent
 
 
+@pytest.mark.parametrize("tail", ["fresh", "resumed"])
+@pytest.mark.parametrize("step", ["append", "seal", "write_sidecar"])
+def test_a_failed_ingest_leaves_the_store_files_as_they_were(
+    tmp_path, monkeypatch, step, tail
+):
+    """An ingest that fails mid-stream, in its segment seal or in its
+    sidecar write leaves every store file byte-for-byte as it was: no
+    new segment or sidecar, a resumed tail segment neither deleted nor
+    holding a failed tree for the next ingest to adopt."""
+    trees = _trees(5, seed=15)
+    root = str(tmp_path / "s")
+
+    def files():
+        return {
+            name: (tmp_path / "s" / name).read_bytes()
+            for name in os.listdir(root)
+        }
+
+    with CorpusStore.create(
+        root, segment_size=3 if tail == "fresh" else 5
+    ) as store:
+        store.ingest(trees[:3])
+        before = files()
+        batch, error = [trees[3]], _Crash
+        if step == "append":
+            batch, error = [trees[3], "not a tree"], TypeError
+        elif step == "seal":
+            seal = SegmentWriter.seal
+            crashed = []
+
+            def crashing_seal(writer):
+                footer = seal(writer)
+                if not crashed:  # the rollback's own reseal goes through
+                    crashed.append(writer.path)
+                    raise _Crash()
+                return footer
+
+            monkeypatch.setattr(SegmentWriter, "seal", crashing_seal)
+        else:
+            monkeypatch.setattr(store_module, "write_sidecar", _crash_before)
+        with pytest.raises(error):
+            store.ingest(batch)
+        monkeypatch.undo()
+        assert files() == before
+        assert store.tree_count == 3
+        assert store.append(trees[4]) == 3
+    kept = trees[:3] + [trees[4]]
+    with CorpusStore.open(root, readonly=True) as reopened:
+        assert reopened.tree_count == 4
+        assert all(_same_tree(reopened.tree(i), t) for i, t in enumerate(kept))
+        result = reopened.run(QUERIES[:4])
+        assert result.rows == _naive_corpus_rows(kept, QUERIES[:4])
+        assert {c.source for c in result.chunks} == {"lanes"}
+
+
 # ---------------------------------------------------------------------------
 # the query path
 # ---------------------------------------------------------------------------
@@ -452,8 +507,9 @@ def test_replace_crash_at_any_step_reopens_to_old_or_new(
             _same_tree(reopened.tree(i), t) for i, t in enumerate(trees)
         )
         executor._WORKER_SIDECARS.cache_clear()
-        assert reopened.run(packed, engine="vectorized").rows == expected
-        assert executor._packed_chunks() > 0  # packed path ran
+        result = reopened.run(packed, engine="vectorized")
+        assert result.rows == expected
+        assert any(c.source == "lanes" for c in result.chunks)
     monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
     with CorpusStore.open(root) as rebuilt:
         assert rebuilt.run(packed, engine="vectorized").rows == expected
@@ -551,6 +607,7 @@ def test_cli_ingests_and_queries_a_store(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "tree 0" in out and "tree 1" in out
+    assert "via fast from lanes" in out  # the sidecar served the chunk
     with CorpusStore.open(root) as store:
         assert len(store) == 2
 

@@ -215,3 +215,20 @@ def test_in_memory_corpus_is_cacheable_too():
     assert replay.get("cached") is True
     assert replay["results"] == first["results"]
     corpus.close()
+
+
+def test_chunk_entries_name_their_index_source(tmp_path):
+    """Under the default ``fast`` engine a store window with valid
+    sidecars is answered from their lanes; a chunk that degraded ran
+    on trees — with the same answers."""
+    with _store(tmp_path) as store:
+        dispatcher = Dispatcher(store, workers=0, allow_faults=True)
+        session = dispatcher.open_session()
+        clean = dispatcher.handle(_window_request(stop=8), session)
+        assert {c["source"] for c in clean["chunks"]} == {"lanes"}
+        chaotic = dispatcher.handle(
+            _window_request(stop=8, faults={"0": {"kind": "error"}}), session
+        )
+        degraded = chaotic["chunks"][0]
+        assert degraded["fell_back"] and degraded["source"] == "trees"
+        assert chaotic["results"] == clean["results"]

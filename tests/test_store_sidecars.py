@@ -28,12 +28,15 @@ from repro.corpus import (
     Sidecar,
     StoreError,
     ask_query,
+    caterpillar_query,
+    caterpillar_relation_query,
     select_query,
     sidecar_path,
     write_sidecar,
     xpath_query,
 )
 from repro.corpus import executor
+from repro.corpus.segment import Segment
 from repro.engine.index import (
     IndexFormatError,
     PackedIndex,
@@ -43,6 +46,8 @@ from repro.engine.index import (
     serialize_index,
 )
 from repro.engine.nodeset import iter_bits
+from repro.resilience.errors import ResourceExhausted
+from repro.resilience.faults import Fault
 from repro.trees.generators import random_tree
 
 pytestmark = pytest.mark.store
@@ -225,7 +230,7 @@ def test_packed_window_matches_fast_engine_and_naive_loop(tmp_path):
         expected = _expected(store)
         executor._WORKER_SIDECARS.cache_clear()
         vectorized = store.run(PACKED_QUERIES, engine="vectorized")
-        assert executor._packed_chunks() > 0  # packed path ran
+        assert all(c.source == "lanes" for c in vectorized.chunks)
         assert vectorized.rows == expected
         assert store.run(PACKED_QUERIES, engine="fast").rows == expected
 
@@ -321,6 +326,183 @@ def test_sidecars_env_kill_switch_disables_the_packed_path(
         expected = _expected(plain)
         assert plain.run(PACKED_QUERIES, engine="vectorized").rows == expected
         assert not os.path.exists(side_file)  # disabled: no rebuild either
+
+
+# ---------------------------------------------------------------------------
+# the index source follows the sidecar, not the engine name
+# ---------------------------------------------------------------------------
+
+#: Root-context IR plans in all four dialects; ``auto`` sends several
+#: of them to the reference engine on these small trees.
+SOURCE_QUERIES = PACKED_QUERIES + (
+    xpath_query("/σ/*"),
+    caterpillar_query("(down | right)* <δ>"),
+)
+#: A one-tree window at position 0, one across a segment boundary, one
+#: inside the short tail segment, and the whole store.
+SOURCE_WINDOWS = ((0, 1), (3, 13), (17, 20), (0, 21))
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Counts of record unpickles and ``TreeIndex`` builds from here on,
+    with every worker-side warm cache emptied first."""
+    counts = {"trees": 0, "builds": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    executor._WORKER_SIDECARS.cache_clear()
+    executor._WORKER_SEGMENTS.cache_clear()
+    executor._WORKER_CHUNKS.clear()
+    monkeypatch.setattr(Segment, "tree", counted("trees", Segment.tree))
+    monkeypatch.setattr(Segment, "trees", counted("trees", Segment.trees))
+    monkeypatch.setattr(
+        TreeIndex, "__init__", counted("builds", TreeIndex.__init__)
+    )
+    yield counts
+    executor._WORKER_CHUNKS.clear()
+
+
+def _source_store(tmp_path, loads):
+    """A 21-tree store in segments of 8, and every tree's expected row;
+    ``loads`` counts from zero again once both are made."""
+    path = str(tmp_path / "s")
+    trees = _trees(21, seed=21)
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(trees))
+    expected = list(_naive_corpus_rows(trees, SOURCE_QUERIES))
+    loads.update(trees=0, builds=0)
+    return path, expected
+
+
+@pytest.mark.parametrize("engine", ["fast", "vectorized", "auto"])
+def test_sidecar_windows_load_no_tree_under_every_engine(
+    tmp_path, loads, engine
+):
+    path, expected = _source_store(tmp_path, loads)
+    with CorpusStore.open(path, readonly=True) as store:
+        for start, stop in SOURCE_WINDOWS:
+            result = store.run(
+                SOURCE_QUERIES, engine=engine, start=start, stop=stop
+            )
+            assert list(result.rows) == expected[start:stop]
+            assert {c.source for c in result.chunks} == {"lanes"}
+        if engine == "auto":  # reference picks ride the lanes too
+            assert "reference" in {plan.engine for plan in result.plans}
+    assert loads == {"trees": 0, "builds": 0}
+
+
+@pytest.mark.parametrize(
+    "case", ["sidecars-off", "torn-readonly", "relation-query", "reference"]
+)
+def test_tree_path_cases_load_trees_with_identical_rows(
+    tmp_path, monkeypatch, loads, case
+):
+    path, expected = _source_store(tmp_path, loads)
+    queries, engine = SOURCE_QUERIES, "fast"
+    if case == "sidecars-off":
+        monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
+    elif case == "torn-readonly":
+        side_file = sidecar_path(os.path.join(path, "seg-00001.seg"))
+        data = Path(side_file).read_bytes()
+        Path(side_file).write_bytes(data[: len(data) // 2])
+    elif case == "relation-query":
+        relation = caterpillar_relation_query("down <δ>")
+        queries = SOURCE_QUERIES + (relation,)
+        relations = _naive_corpus_rows(_trees(21, seed=21), (relation,))
+        expected = [row + extra for row, extra in zip(expected, relations)]
+        loads.update(trees=0, builds=0)
+    else:
+        engine = "reference"
+    with CorpusStore.open(path, readonly=True) as store:
+        for start, stop in SOURCE_WINDOWS:
+            result = store.run(queries, engine=engine, start=start, stop=stop)
+            assert list(result.rows) == expected[start:stop]
+            sources = {(c.start, c.stop): c.source for c in result.chunks}
+            if case == "torn-readonly":  # only segment 1 lost its lanes
+                assert all(
+                    source == ("trees" if 8 <= lo < 16 else "lanes")
+                    for (lo, _), source in sources.items()
+                )
+            else:
+                assert set(sources.values()) == {"trees"}
+    assert loads["trees"] > 0
+    if case != "reference":  # the reference engine builds no index
+        assert loads["builds"] > 0
+
+
+@pytest.mark.parametrize("case", ["degrade", "raise", "fault"])
+def test_a_lane_served_chunk_still_meets_its_budget_and_faults(
+    tmp_path, loads, case
+):
+    """A lane-served chunk checkpoints once per plan step for the whole
+    chunk, not once per tree, yet a step cap still stops it and an
+    injected fault still fires: in degrade mode the chunk falls back to
+    the reference engine on its trees, in raise mode the exhaustion
+    reaches the caller."""
+    path, expected = _source_store(tmp_path, loads)
+    with CorpusStore.open(path, readonly=True) as store:
+        metered = store.run(SOURCE_QUERIES, budget_steps=10**9)
+        assert list(metered.rows) == expected
+        assert {c.source for c in metered.chunks} == {"lanes"}
+        assert all(c.steps > 0 and not c.fell_back for c in metered.chunks)
+        if case == "raise":
+            with pytest.raises(ResourceExhausted) as err:
+                store.run(
+                    SOURCE_QUERIES, budget_steps=1, on_exhausted="raise"
+                )
+            assert err.value.resource == "steps"
+            return
+        if case == "degrade":
+            result = store.run(SOURCE_QUERIES, budget_steps=1)
+            error = "ResourceExhausted"
+        else:
+            faults = {
+                index: Fault(at_checkpoint=1, kind="error")
+                for index in range(len(metered.chunks))
+            }
+            result = store.run(SOURCE_QUERIES, faults=faults)
+            error = "InjectedFault"
+    assert list(result.rows) == expected
+    assert all(
+        c.fell_back and c.engine == "reference" and c.source == "trees"
+        and error in c.error
+        for c in result.chunks
+    )
+    assert loads["trees"] > 0
+
+
+def test_tree_path_chunks_keep_a_bounded_warm_map(tmp_path, monkeypatch):
+    """Every distinct window that runs on trees enters the token's warm
+    chunk map; the map stays at its bound however many there are, and
+    every answer still equals the per-tree loop."""
+    monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
+    path = str(tmp_path / "s")
+    trees = _trees(48, seed=5)
+    queries = PACKED_QUERIES[:2]
+    expected = list(_naive_corpus_rows(trees, queries))
+    executor._WORKER_CHUNKS.clear()
+    try:
+        with CorpusStore.create(path, segment_size=16) as store:
+            store.ingest(iter(trees))
+            windows = [
+                (start, stop)
+                for start in range(48)
+                for stop in range(start + 1, 49)
+            ][:1_000]
+            sizes = []
+            for start, stop in windows:
+                result = store.run(queries, start=start, stop=stop)
+                assert list(result.rows) == expected[start:stop]
+                assert {c.source for c in result.chunks} == {"trees"}
+                sizes.append(len(executor._WORKER_CHUNKS[store.token]))
+        assert max(sizes) == sizes[-1] == executor._WARM_CHUNKS
+    finally:
+        executor._WORKER_CHUNKS.clear()
 
 
 # ---------------------------------------------------------------------------

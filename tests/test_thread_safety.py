@@ -13,6 +13,7 @@ exactly, and every mid-flight snapshot is internally consistent."""
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -200,33 +201,84 @@ class TestResilienceLogHammer:
 
 
 class TestWorkerCacheHammer:
-    def test_concurrent_chunk_warming_loses_no_window(self):
+    def test_concurrent_chunk_warming_loses_no_window(self, monkeypatch):
         """Server dispatch threads warm chunks into one process's
         ``_WORKER_CHUNKS`` at once: no thread may trip over another's
-        insert, and no window may be lost."""
+        insert, no window may be lost while the windows fit the map's
+        bound — not even the first ones, written while the threads race
+        to create a new token's map — and past the bound the map evicts
+        down to it exactly."""
+
+        class SlowMap(KeyedLRU):
+            # Building a token's map yields the GIL, so every round the
+            # other threads also find no map and build their own: the
+            # race on a new token happens each time, not by luck.
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.0005)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "KeyedLRU", SlowMap)
         tree = parse_term("σ(δ, σ(δ))")
-        token = "hammer-token"
-        windows = 3_000
+        rounds = 50
+        tokens = [f"hammer-token-{r}" for r in range(rounds)]
+        calls = 3_000
+        bound = executor._WARM_CHUNKS
+        share = bound // 4
+        resident_after = []
+
+        def snapshot():
+            # Runs once per round, after every thread's last insert and
+            # before any thread moves on to the next token.
+            token = tokens[len(resident_after)]
+            resident_after.append(set(executor._WORKER_CHUNKS.get(token, ())))
+
+        lined_up = threading.Barrier(4, timeout=30)
+        warmed = threading.Barrier(4, action=snapshot, timeout=30)
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
 
-        def hammer(worker_id):
-            for i in range(windows):
-                start = worker_id * windows + i
-                trees, indexes = executor._warm_chunk(
-                    token, start, start + 1, (tree,)
-                )
-                assert trees == (tree,) and len(indexes) == 1
+        def warm(token, start):
+            trees, indexes = executor._warm_chunk(
+                token, start, start + 1, (tree,)
+            )
+            assert trees == (tree,) and len(indexes) == 1
+
+        def fresh_tokens(worker_id):
+            # Every round all four threads meet a token none of them has
+            # seen and warm their own quarter of the bound exactly once:
+            # a window lost while the map is being created stays lost.
+            for token in tokens:
+                lined_up.wait()
+                for start in range(worker_id * share, (worker_id + 1) * share):
+                    warm(token, start)
+                warmed.wait()
+
+        def overflowing(worker_id):
+            # Every call a new window: the map evicts on each insert.
+            for i in range(calls):
+                warm(tokens[-1], bound + worker_id * calls + i)
 
         try:
-            _run_threads(hammer, count=4)
-            tokens = set(executor._WORKER_CHUNKS)
-            keys = set(executor._WORKER_CHUNKS[token])
+            _run_threads(fresh_tokens, count=4)
+            _run_threads(overflowing, count=4)
+            held = set(executor._WORKER_CHUNKS)
+            chunks = executor._WORKER_CHUNKS[tokens[-1]]
+            resident, size = set(chunks), len(chunks)
         finally:
             sys.setswitchinterval(saved)
             executor._WORKER_CHUNKS.clear()
-        assert tokens == {token}
-        assert keys == {(start, start + 1) for start in range(4 * windows)}
+        everything = {(start, start + 1) for start in range(bound)}
+        lost = [
+            (round_, len(everything - windows))
+            for round_, windows in enumerate(resident_after)
+            if windows != everything
+        ]
+        assert len(resident_after) == rounds and lost == []
+        assert held == {tokens[-1]}
+        assert size == len(resident) == bound
+        assert resident <= {
+            (start, start + 1) for start in range(bound, bound + 4 * calls)
+        }
 
 
 class TestShardLoadsPastTheCacheBound:
