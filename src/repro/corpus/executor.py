@@ -53,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -395,8 +395,8 @@ def _warm_chunk(
     stop: int,
     trees: Tuple[Tree, ...],
 ) -> Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]:
-    """Swap freshly loaded chunk trees for this worker's warm copies
-    (building them on first sight).  Without a token, no caching."""
+    """Keep freshly loaded chunk trees warm under ``token``, with
+    their indexes built here.  Without a token, no caching."""
     if token is None:
         return trees, None
     chunks = _WORKER_CHUNKS.get(token)
@@ -409,12 +409,34 @@ def _warm_chunk(
         )
         for stale in [key for key in list(_WORKER_CHUNKS) if key != token]:
             _WORKER_CHUNKS.pop(stale, None)
-    cached = chunks.get((start, stop))
-    if cached is not None and len(cached[0]) == len(trees):
-        return cached
     indexes = tuple(index_for(tree) for tree in trees)
     chunks.put((start, stop), (trees, indexes))
     return trees, indexes
+
+
+def _chunk_trees(
+    task: ChunkTask,
+) -> Optional[Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]]:
+    """The one way a chunk gets its trees and indexes: the pinned ones
+    it carries, else this worker's warm copies, else the trees it
+    ships or its shard's records, warmed under its token.  ``None``
+    when it carries neither (a routed worker that lost its warm
+    state)."""
+    if task.indexes is not None:
+        return task.trees, task.indexes
+    chunks = _WORKER_CHUNKS.get(task.token)
+    cached = (
+        chunks.get((task.start, task.stop)) if chunks is not None else None
+    )
+    if cached is not None:
+        return cached
+    if task.trees is not None:
+        trees = task.trees
+    elif task.shard is not None:
+        trees = _shard_trees(task.shard)
+    else:
+        return None
+    return _warm_chunk(task.token, task.start, task.stop, trees)
 
 
 def _ir_batch_plan(query: CorpusQuery):
@@ -509,12 +531,10 @@ def _degrade(
 ):
     """The one degrade path: answer the chunk on the reference engine —
     unbudgeted, since it is the recovery and must be allowed to finish —
-    and report why.  A lane-served attempt left no trees, so they load
-    here."""
+    and report why.  A lane-served attempt, or a worker that died,
+    left no trees, so they load here."""
     if trees is None:
-        trees, indexes = _warm_chunk(
-            task.token, task.start, task.stop, _shard_trees(task.shard)
-        )
+        trees, indexes = _chunk_trees(task)
     rows = _evaluate_rows(trees, task.queries, "reference", indexes)
     return rows, ChunkReport(
         task.index, task.start, task.stop, "reference", True, error,
@@ -530,7 +550,7 @@ def _run_chunk(task: ChunkTask):
     touches (plan cache, index cache) is that worker's own warm state.
     """
     started = time.perf_counter()
-    trees, indexes, lanes = task.trees, task.indexes, None
+    trees = indexes = lanes = None
     # A store chunk with a valid sidecar whose queries all have IR
     # plans takes its lanes straight from the sidecar bytes, whatever
     # the engine name — no unpickling, no index builds.
@@ -542,23 +562,11 @@ def _run_chunk(task: ChunkTask):
         _, plans = _stacked_plans(task.queries, "vectorized")
         if len(plans) == len(task.queries):
             lanes = _shard_lanes(task.shard)
-    if trees is None and lanes is None:
-        chunks = _WORKER_CHUNKS.get(task.token)
-        cached = None
-        if chunks is not None:
-            cached = chunks.get((task.start, task.stop))
-        if cached is not None:
-            trees, indexes = cached
-        elif task.shard is None:  # e.g. a fresh worker after a pool restart
+    if lanes is None:
+        loaded = _chunk_trees(task)
+        if loaded is None:  # e.g. a fresh worker after a pool restart
             return _CACHE_MISS, None
-        else:
-            # This worker loads its own shard and warms it under the
-            # store token.
-            trees, indexes = _warm_chunk(
-                task.token, task.start, task.stop, _shard_trees(task.shard)
-            )
-    elif trees is not None and indexes is None:
-        trees, indexes = _warm_chunk(task.token, task.start, task.stop, trees)
+        trees, indexes = loaded
     # A reference chunk has no engine to degrade to, so its budget
     # applies only when exhaustion is the caller's verdict
     # (``on_exhausted="raise"`` — the query service's deadline path)
@@ -797,8 +805,7 @@ def run_batch(
     try:
         slots = [(task.index + route) % len(pools) for task in tasks]
         futures = [
-            pools[slot].submit(_run_chunk, _wire(pools[slot], task))
-            for task, slot in zip(tasks, slots)
+            _submit(pools[slot], task) for task, slot in zip(tasks, slots)
         ]
         answers = []
         for task, slot, future in zip(tasks, slots, futures):
@@ -825,10 +832,7 @@ def run_batch(
                     # Last-resort degradation: answer the chunk here,
                     # on the engine no fault has ever indicted.
                     answer = _degrade(
-                        task,
-                        task.trees if task.trees is not None
-                        else _shard_trees(task.shard),
-                        None, time.perf_counter(),
+                        task, None, None, time.perf_counter(),
                         f"worker failed: {type(exc).__name__}: {exc}",
                         retries=worker_retries,
                     )
@@ -891,6 +895,19 @@ def _shipped(pool: ProcessPoolExecutor) -> set:
     if cache is None:
         cache = pool._corpus_shipped = set()
     return cache
+
+
+def _submit(pool: ProcessPoolExecutor, task: ChunkTask) -> Future:
+    """``task``'s future on ``pool``.  A pool that refuses it — broken
+    by a dead worker, or shut down by another batch's heal after this
+    batch picked it — fails the chunk the way a dead worker does, so
+    the retry ladder or the last-resort degrade answers it."""
+    try:
+        return pool.submit(_run_chunk, _wire(pool, task))
+    except RuntimeError as exc:
+        refused: Future = Future()
+        refused.set_exception(exc)
+        return refused
 
 
 def _wire(pool: ProcessPoolExecutor, task: ChunkTask) -> ChunkTask:

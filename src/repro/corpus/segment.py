@@ -60,12 +60,14 @@ _RECORD = struct.Struct("<I")      # record length prefix
 _TRAILER = struct.Struct("<I8s")   # footer length, trailer magic
 
 #: Index sidecar file bits (``seg-NNNNN.rpridx`` next to each sealed
-#: ``seg-NNNNN.seg``): one serialized TreeIndex blob per record, plus
+#: ``seg-NNNNN.seg``): one ``serialize_index`` blob per record, plus
 #: the generation tag that ties the sidecar to one version of the
-#: segment's bytes.
+#: segment's bytes.  Version 2 holds lane-only blobs.  A sidecar of
+#: another version reads as invalid: a writable store rebuilds it on
+#: first use, a readonly one answers from the segment's trees.
 SIDECAR_MAGIC = b"RPRIDX01"
 SIDECAR_TRAILER = b"RPRIDXTR"
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 SIDECAR_SUFFIX = ".rpridx"
 
 _SIDECAR_HEADER = struct.Struct("<8sIIQI")  # magic, version, seg id, gen, count

@@ -401,33 +401,42 @@ class CorpusStore:
         """Append every tree of an iterator; returns how many.
 
         Streaming: trees are pickled and written as they arrive,
-        segments seal (and enter the manifest) every ``segment_size``
-        trees, and nothing already consumed stays referenced — feed it
+        segments seal every ``segment_size`` trees, and nothing already
+        consumed stays referenced — feed it
         :func:`repro.trees.iter_xml_stream` and peak memory tracks the
-        largest single document, not the corpus."""
+        largest single document, not the corpus.  The segments a call
+        seals enter the manifest together once the stream is done, so
+        a call that fails leaves the manifest, and every record it
+        lists, as they were."""
         self._writable()
         segments: List[Dict[str, object]] = self._manifest["segments"]
+        # The under-full tail segment the first tree resumes, if any.
+        tail = (
+            len(segments) - 1
+            if segments and segments[-1]["trees"] < self.segment_size
+            else None
+        )
+        next_id = segments[-1]["id"] + 1 if segments else 0
+        tag = self.generation + 1 if self._use_sidecars else None
         writer: Optional[SegmentWriter] = None
-        resumed = False
-        appended = 0
+        sealed: List[SegmentWriter] = []
+        footers: List[Dict[str, object]] = []
         blobs: List[bytes] = []
+        appended = 0
 
-        def seal(writer: SegmentWriter, resumed: bool) -> None:
+        def seal(writer: SegmentWriter) -> None:
             # The sidecar lands (tagged with the post-ingest generation)
             # before the manifest does: a crash in between reads as a
             # generation mismatch and a rebuild, never as stale indexes.
             # A seal or sidecar write that raises leaves ``writer`` set
             # for the abort below, which also undoes a finished seal.
             footer = writer.seal()
-            tag: Optional[int] = None
-            if self._use_sidecars:
-                tag = self.generation + 1
+            if tag is not None:
                 write_sidecar(
                     sidecar_path(writer.path), writer.segment_id, tag, blobs
                 )
-            self._record_seal(
-                writer.segment_id, footer, resumed, sidecar_gen=tag
-            )
+            sealed.append(writer)
+            footers.append(footer)
 
         try:
             for tree in trees:
@@ -437,47 +446,53 @@ class CorpusStore:
                         f"{type(tree).__name__}"
                     )
                 if writer is None:
-                    if (
-                        segments
-                        and segments[-1]["trees"] < self.segment_size
-                    ):
-                        last = segments[-1]
+                    if tail is not None and not sealed:
+                        entry = segments[tail]
                         blobs = (
-                            self._segment_blobs(len(segments) - 1)
-                            if self._use_sidecars else []
+                            self._segment_blobs(tail)
+                            if tag is not None else []
                         )
-                        self._evict_segment(len(segments) - 1)
+                        self._evict_segment(tail)
                         writer = SegmentWriter.resume(
-                            os.path.join(self.path, last["name"]), last["id"]
+                            os.path.join(self.path, entry["name"]),
+                            entry["id"],
                         )
-                        resumed = True
                     else:
-                        segment_id = (
-                            segments[-1]["id"] + 1 if segments else 0
-                        )
                         writer = SegmentWriter(
-                            os.path.join(
-                                self.path, _segment_name(segment_id)
-                            ),
-                            segment_id,
+                            os.path.join(self.path, _segment_name(next_id)),
+                            next_id,
                         )
-                        resumed = False
+                        next_id += 1
                         blobs = []
                 writer.append(tree)
-                if self._use_sidecars:
+                if tag is not None:
                     blobs.append(serialize_index(index_for(tree)))
                 appended += 1
                 if writer.tree_count >= self.segment_size:
-                    seal(writer, resumed)
+                    seal(writer)
                     writer = None
             if writer is not None:
-                seal(writer, resumed)
+                seal(writer)
                 writer = None
-        finally:
-            if writer is not None:
-                # Error mid-stream: drop a fresh segment, roll a resumed
-                # one back to the records the manifest lists.
-                writer.abort()
+        except BaseException:
+            # Nothing this call wrote enters the manifest: a fresh
+            # segment goes with its sidecar, and the resumed tail is cut
+            # back to the records the manifest lists.  The tail's
+            # rewritten sidecar no longer matches its manifest tag, so
+            # it rebuilds on first use.
+            opened = sealed + ([writer] if writer is not None else [])
+            for position, aborted in enumerate(opened):
+                aborted.abort()
+                if position > 0 or tail is None:
+                    _unlink(sidecar_path(aborted.path))
+            if tail is not None and opened:
+                self._sidecar_ok.pop(tail, None)
+            raise
+        for position, (done, footer) in enumerate(zip(sealed, footers)):
+            self._record_seal(
+                done.segment_id, footer, tail is not None and position == 0,
+                sidecar_gen=tag,
+            )
         if appended:
             self._bump()
         return appended
@@ -635,12 +650,6 @@ class CorpusStore:
             pass
         return None
 
-    def _valid_sidecar_blobs(
-        self, segment_index: int
-    ) -> Optional[List[bytes]]:
-        """Every blob of a segment's valid sidecar, or ``None``."""
-        return self._read_valid_sidecar(segment_index, Sidecar.blobs)
-
     def _record_blobs(self, segment_index: int) -> List[bytes]:
         """Every index blob of a segment, rebuilt from its records."""
         segment = self._segment(segment_index)
@@ -652,7 +661,7 @@ class CorpusStore:
     def _segment_blobs(self, segment_index: int) -> List[bytes]:
         """Every index blob of a segment — from its sidecar when the
         generation tag matches, else rebuilt from the records."""
-        existing = self._valid_sidecar_blobs(segment_index)
+        existing = self._read_valid_sidecar(segment_index, Sidecar.blobs)
         if existing is not None:
             return existing
         return self._record_blobs(segment_index)
@@ -825,7 +834,7 @@ class CorpusStore:
             for segment_index in range(len(segments)):
                 segment = self._segment(segment_index)
                 src_blobs = (
-                    self._valid_sidecar_blobs(segment_index)
+                    self._segment_blobs(segment_index)
                     if self._use_sidecars else None
                 )
                 for i in range(segment.tree_count):
@@ -839,11 +848,8 @@ class CorpusStore:
                     writer.append_raw(
                         segment.record_payload(i), segment.stats_row(i)
                     )
-                    if self._use_sidecars:
-                        blobs.append(
-                            src_blobs[i] if src_blobs is not None
-                            else serialize_index(TreeIndex(segment.tree(i)))
-                        )
+                    if src_blobs is not None:
+                        blobs.append(src_blobs[i])
                     if writer.tree_count >= self.segment_size:
                         seal(writer)
                         writer = None

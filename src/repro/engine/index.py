@@ -13,9 +13,8 @@ address tuples.  The index trades one O(n) construction pass for
   interval containment (``u < v < subtree_end[u]``) and a descendant
   *axis* is a range mask — the Gottlob–Koch–Schulz move of evaluating
   over indexed structure instead of raw addresses;
-* **navigation arrays**: parent, CSR children slices, sibling links,
-  depth, plus a postorder numbering (``pre(u) < pre(v) and post(v) <
-  post(u)`` is the classic equivalent descendant test);
+* **navigation arrays**: parent, CSR children slices, sibling links
+  and depth;
 * **inverted indexes**: label → bitset and attribute-value → bitset,
   making every unary atom of the FO vocabulary a single dict lookup;
 * **move graphs**: set-at-a-time images of the four walking atoms
@@ -43,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from ..caching import KeyedLRU
 from ..trees.node import NodeId
 from ..trees.tree import Tree
-from ..trees.values import BOTTOM, MaybeValue
+from ..trees.values import MaybeValue
 from .nodeset import apply_shift_groups, bit_count, iter_bits
 from .nodeset import shift_groups as _shift_groups
 
@@ -56,7 +55,6 @@ __all__ = [
     "index_structures",
     "repair_index",
     "serialize_index",
-    "deserialize_index",
     "IndexFormatError",
     "INDEX_BLOB_VERSION",
     "REPAIR_THRESHOLD",
@@ -79,7 +77,6 @@ class TreeIndex:
         "id_of",
         "parent",
         "subtree_end",
-        "post_of",
         "depth",
         "child_start",
         "child_ids",
@@ -93,9 +90,6 @@ class TreeIndex:
         "last_mask",
         "label_mask",
         "value_mask",
-        "has_next_mask",
-        "has_prev_mask",
-        "prev_adjacent_mask",
         "move_groups",
         "moves",
     )
@@ -112,7 +106,6 @@ class TreeIndex:
         parent: List[int] = [-1] * n
         subtree_end: List[int] = [0] * n
         depth: List[int] = [0] * n
-        post_of: List[int] = [0] * n
         next_sibling: List[int] = [-1] * n
         prev_sibling: List[int] = [-1] * n
         child_start: List[int] = [0] * (n + 1)
@@ -147,12 +140,9 @@ class TreeIndex:
 
         for i, u in enumerate(nodes):
             subtree_end[i] = tree.subtree_interval(u)[1]
-        for rank, u in enumerate(tree.nodes_postorder):
-            post_of[id_of[u]] = rank
 
         self.parent = parent
         self.subtree_end = subtree_end
-        self.post_of = post_of
         self.depth = depth
         self.child_start = child_start
         self.child_ids = child_ids
@@ -179,20 +169,6 @@ class TreeIndex:
                 table[value] = table.get(value, 0) | (1 << i)
             value_mask[attr] = table
         self.value_mask = value_mask
-
-        has_next = 0
-        has_prev = 0
-        prev_adjacent = 0
-        for i in range(n):
-            if next_sibling[i] >= 0:
-                has_next |= 1 << i
-            if prev_sibling[i] >= 0:
-                has_prev |= 1 << i
-                if prev_sibling[i] == i - 1:
-                    prev_adjacent |= 1 << i
-        self.has_next_mask = has_next
-        self.has_prev_mask = has_prev
-        self.prev_adjacent_mask = prev_adjacent
 
         #: Move graphs, shift-decomposed: direction → ((shift, mask), …)
         #: where ``mask`` collects the sources whose target lies exactly
@@ -309,275 +285,86 @@ class TreeIndex:
 # binary serialization (index sidecars)
 # ---------------------------------------------------------------------------
 #
-# The wire form of a TreeIndex: every derived structure as packed
+# The wire form of a TreeIndex's lane surface: what a tree-walking
+# automaton reads of a tree (labels, the root/leaf/first/last tests and
+# the up/down/left/right moves), plus the CSR child arrays that turn a
+# result bitset back into node addresses.  Everything is packed
 # little-endian arrays and big-int byte strings — *no* pickled Python
-# object graphs, so loading one is ``array.frombytes`` plus
+# object graphs, so reading one is ``unpack_from`` plus
 # ``int.from_bytes``, not a tree walk.  Layout (all lengths in bytes):
 #
-#     [ magic "RXI1" | version u16 | n u32 | child_count u32 ]
-#     [ 6 node-set bitsets       ]  leaf, first, last, has_next,
-#                                   has_prev, prev_adjacent
+#     [ magic "RXI1" | version u16 | n u32 ]
+#     [ 3 node-set bitsets       ]  leaf, first, last
 #     [ label index              ]  count, then (label, bitset) pairs
 #     [ move groups              ]  up, right, left: count, then
 #                                   (shift i32, bitset) pairs
-#     [ navigation arrays (i32)  ]  parent, subtree_end, post_of,
-#                                   depth, next_sibling, prev_sibling,
-#                                   child_start[n+1], child_ids
-#     [ value index              ]  per attribute: name, then tagged
-#                                   (value, bitset) pairs
+#     [ child arrays (i32)       ]  child_start[n+1], then child_ids
+#                                   (child_start[n] entries)
 #
-# Everything a :class:`StackedShard` lane consumes sits *before* the
-# navigation arrays, so :class:`PackedIndex` parses a prefix and defers
-# the rest; ``down`` move groups, ``all_mask``/``root_mask`` and
-# ``children_mask`` are cheap derivations and are not stored.
+# :class:`PackedIndex` is the one reader, and it reads every byte: the
+# masks, labels and moves when it is built, the child arrays on its
+# first ``to_nodes``; a blob that does not end right after them is
+# rejected.  ``down`` move groups and ``all_mask``/``root_mask`` are
+# cheap derivations and are not stored.  The value index, the other
+# navigation arrays and ``children_mask`` serve in-memory TreeIndexes
+# only and are not stored either: a reader of value atoms would add
+# value masks here under a new version.
 
 INDEX_BLOB_MAGIC = b"RXI1"
-INDEX_BLOB_VERSION = 1
+INDEX_BLOB_VERSION = 2
 
-_BLOB_HEADER = struct.Struct("<4sHII")
+_BLOB_HEADER = struct.Struct("<4sHI")
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
 _NATIVE_LE = sys.byteorder == "little"
 
-#: Stored value tags: a data value is a str, an int, or ⊥.
-_VALUE_STR, _VALUE_INT, _VALUE_BOTTOM = 0, 1, 2
-
 
 class IndexFormatError(ValueError):
-    """The bytes are not a serialized TreeIndex this build can read
-    (bad magic, unknown version, torn blob, or a tree-size mismatch)."""
+    """The bytes are not a serialized index this build can read (bad
+    magic, unknown version, or a torn blob)."""
+
+
+def _pack_bytes(out: List[bytes], blob: bytes) -> None:
+    out.append(_U32.pack(len(blob)))
+    out.append(blob)
 
 
 def _pack_bits(out: List[bytes], bits: int) -> None:
-    blob = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    out.append(_U32.pack(len(blob)))
-    out.append(blob)
+    _pack_bytes(out, bits.to_bytes((bits.bit_length() + 7) // 8, "little"))
 
 
-def _pack_text(out: List[bytes], text: str) -> None:
-    blob = text.encode("utf-8")
-    out.append(_U32.pack(len(blob)))
-    out.append(blob)
-
-
-def _pack_array(out: List[bytes], values: List[int]) -> None:
-    packed = array("i", values)
+def _unpack_ints(data) -> array:
+    values = array("i")
+    values.frombytes(data)
     if not _NATIVE_LE:  # pragma: no cover - big-endian platforms
-        packed.byteswap()
-    out.append(packed.tobytes())
-
-
-def _pack_groups(out: List[bytes], groups: Tuple[Tuple[int, int], ...]) -> None:
-    out.append(_U32.pack(len(groups)))
-    for shift, mask in groups:
-        out.append(_I32.pack(shift))
-        _pack_bits(out, mask)
+        values.byteswap()
+    return values
 
 
 def serialize_index(index: TreeIndex) -> bytes:
-    """``index`` as a compact, versioned byte string (see the layout
-    note above).  :func:`deserialize_index` restores a byte-identical
-    index; :class:`PackedIndex` reads just the stacked-shard surface."""
+    """``index``'s lane surface as a compact, versioned byte string
+    (see the layout note above) — what :class:`PackedIndex` reads."""
     out: List[bytes] = [
-        _BLOB_HEADER.pack(
-            INDEX_BLOB_MAGIC, INDEX_BLOB_VERSION, index.n,
-            len(index.child_ids),
-        )
+        _BLOB_HEADER.pack(INDEX_BLOB_MAGIC, INDEX_BLOB_VERSION, index.n)
     ]
-    for bits in (
-        index.leaf_mask, index.first_mask, index.last_mask,
-        index.has_next_mask, index.has_prev_mask, index.prev_adjacent_mask,
-    ):
+    for bits in (index.leaf_mask, index.first_mask, index.last_mask):
         _pack_bits(out, bits)
     out.append(_U32.pack(len(index.label_mask)))
     for label in sorted(index.label_mask):
-        _pack_text(out, label)
+        _pack_bytes(out, label.encode("utf-8"))
         _pack_bits(out, index.label_mask[label])
     for direction in ("up", "right", "left"):
-        _pack_groups(out, index.move_groups[direction])
-    for values in (
-        index.parent, index.subtree_end, index.post_of, index.depth,
-        index.next_sibling, index.prev_sibling, index.child_start,
-        index.child_ids,
-    ):
-        _pack_array(out, values)
-    out.append(_U32.pack(len(index.value_mask)))
-    for attr in sorted(index.value_mask):
-        _pack_text(out, attr)
-        table = index.value_mask[attr]
-        out.append(_U32.pack(len(table)))
-        for value in sorted(table, key=repr):
-            if value is BOTTOM:
-                out.append(bytes((_VALUE_BOTTOM,)))
-            elif isinstance(value, str):
-                out.append(bytes((_VALUE_STR,)))
-                _pack_text(out, value)
-            else:
-                out.append(bytes((_VALUE_INT,)))
-                blob = int(value).to_bytes(
-                    value.bit_length() // 8 + 1, "little", signed=True
-                )
-                out.append(_U32.pack(len(blob)))
-                out.append(blob)
-            _pack_bits(out, table[value])
-    return b"".join(out)
-
-
-class _Reader:
-    """A bounds-checked cursor over one serialized index."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def _take(self, count: int):
-        begin = self.pos
-        end = begin + count
-        if end > len(self.data):
-            raise IndexFormatError("serialized index is truncated")
-        self.pos = end
-        return self.data[begin:end]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def i32(self) -> int:
-        return _I32.unpack(self._take(4))[0]
-
-    def bits(self) -> int:
-        return int.from_bytes(self._take(self.u32()), "little")
-
-    def text(self) -> str:
-        return bytes(self._take(self.u32())).decode("utf-8")
-
-    def ints(self, count: int) -> List[int]:
-        packed = array("i")
-        packed.frombytes(self._take(4 * count))
+        groups = index.move_groups[direction]
+        out.append(_U32.pack(len(groups)))
+        for shift, mask in groups:
+            out.append(_I32.pack(shift))
+            _pack_bits(out, mask)
+    for values in (index.child_start, index.child_ids):
+        packed = array("i", values)
         if not _NATIVE_LE:  # pragma: no cover - big-endian platforms
             packed.byteswap()
-        return packed.tolist()
-
-    def groups(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (self.i32(), self.bits()) for _ in range(self.u32())
-        )
-
-
-def _read_header(reader: _Reader) -> Tuple[int, int]:
-    try:
-        magic, version, n, child_count = _BLOB_HEADER.unpack(
-            reader._take(_BLOB_HEADER.size)
-        )
-    except (struct.error, IndexFormatError):
-        raise IndexFormatError("serialized index header is torn") from None
-    if magic != INDEX_BLOB_MAGIC:
-        raise IndexFormatError("bad serialized-index magic")
-    if version != INDEX_BLOB_VERSION:
-        raise IndexFormatError(
-            f"serialized index is format v{version}; "
-            f"this build reads v{INDEX_BLOB_VERSION}"
-        )
-    return n, child_count
-
-
-def _children_masks(
-    n: int, child_start: List[int], child_ids: List[int]
-) -> List[int]:
-    masks = [0] * n
-    for i in range(n):
-        mask = 0
-        for pos in range(child_start[i], child_start[i + 1]):
-            mask |= 1 << child_ids[pos]
-        masks[i] = mask
-    return masks
-
-
-def deserialize_index(tree: Tree, data: bytes) -> TreeIndex:
-    """The :class:`TreeIndex` of ``tree`` restored from
-    :func:`serialize_index` bytes — byte-identical (every derived
-    structure) to ``TreeIndex(tree)``, built without walking the tree.
-
-    Raises :class:`IndexFormatError` on torn or mismatched bytes (the
-    sidecar fallback-to-rebuild trigger), including a blob whose node
-    count disagrees with ``tree``."""
-    try:
-        reader = _Reader(memoryview(data) if isinstance(data, bytes) else data)
-        n, child_count = _read_header(reader)
-        if n != len(tree.nodes):
-            raise IndexFormatError(
-                f"serialized index holds {n} nodes; "
-                f"the tree has {len(tree.nodes)}"
-            )
-        index = TreeIndex.__new__(TreeIndex)
-        index.tree = tree
-        index.n = n
-        index.node_of = tree.nodes
-        index.id_of = {u: i for i, u in enumerate(tree.nodes)}
-        index.all_mask = (1 << n) - 1
-        index.root_mask = 1
-        index.leaf_mask = reader.bits()
-        index.first_mask = reader.bits()
-        index.last_mask = reader.bits()
-        index.has_next_mask = reader.bits()
-        index.has_prev_mask = reader.bits()
-        index.prev_adjacent_mask = reader.bits()
-        index.label_mask = {
-            reader.text(): reader.bits() for _ in range(reader.u32())
-        }
-        up = reader.groups()
-        right = reader.groups()
-        left = reader.groups()
-        index.parent = reader.ints(n)
-        index.subtree_end = reader.ints(n)
-        index.post_of = reader.ints(n)
-        index.depth = reader.ints(n)
-        index.next_sibling = reader.ints(n)
-        index.prev_sibling = reader.ints(n)
-        index.child_start = reader.ints(n + 1)
-        index.child_ids = reader.ints(child_count)
-        value_mask: Dict[str, Dict[MaybeValue, int]] = {}
-        for _ in range(reader.u32()):
-            attr = reader.text()
-            table: Dict[MaybeValue, int] = {}
-            for _ in range(reader.u32()):
-                tag = reader._take(1)[0]
-                if tag == _VALUE_BOTTOM:
-                    value: MaybeValue = BOTTOM
-                elif tag == _VALUE_STR:
-                    value = reader.text()
-                elif tag == _VALUE_INT:
-                    value = int.from_bytes(
-                        reader._take(reader.u32()), "little", signed=True
-                    )
-                else:
-                    raise IndexFormatError(f"bad value tag {tag}")
-                table[value] = reader.bits()
-            value_mask[attr] = table
-        index.value_mask = value_mask
-    except (struct.error, ValueError, IndexError) as exc:
-        if isinstance(exc, IndexFormatError):
-            raise
-        raise IndexFormatError(
-            f"serialized index does not parse ({type(exc).__name__})"
-        ) from exc
-    index.children_mask = _children_masks(
-        n, index.child_start, index.child_ids
-    )
-    index.move_groups = {
-        "down": ((1, index.all_mask & ~index.leaf_mask),),
-        "up": up,
-        "right": right,
-        "left": left,
-    }
-    index.moves = {
-        "up": index.up_mask,
-        "down": index.down_mask,
-        "left": index.left_mask,
-        "right": index.right_mask,
-    }
-    return index
+        out.append(packed.tobytes())
+    return b"".join(out)
 
 
 class PackedIndex:
@@ -587,29 +374,29 @@ class PackedIndex:
     It exposes exactly the lane surface the stacked-shard executor
     consumes — ``n``, the structural masks, ``move_groups``,
     :meth:`labelled` — plus :meth:`to_nodes` for select-mode results,
-    whose node addresses are reconstructed lazily from the navigation
-    arrays (parent/children order determine every Gorn address).  The
-    point: a worker can assemble a :class:`~repro.engine.ir.StackedShard`
-    from sidecar bytes without unpickling a single tree."""
+    whose node addresses it rebuilds on first use from the child
+    arrays that close the blob (children order determines every Gorn
+    address).  The point: a worker can assemble a
+    :class:`~repro.engine.ir.StackedShard` from sidecar bytes without
+    unpickling a single tree."""
 
     __slots__ = (
         "n", "all_mask", "root_mask", "leaf_mask", "first_mask",
         "last_mask", "label_mask", "move_groups",
-        "_data", "_arrays_at", "_node_of",
+        "_data", "_children_at", "_node_of",
     )
 
     def __init__(self, data) -> None:
-        # Parsed flat with ``unpack_from`` and local cursors rather
-        # than through :class:`_Reader`: a cold window parses hundreds
-        # of blobs before the first IR op, and the per-field method
-        # dispatch was the dominant cost of the whole packed path.
+        # Parsed flat with ``unpack_from`` and local cursors: a cold
+        # window parses hundreds of blobs before the first IR op, and
+        # per-field method dispatch would dominate the packed path.
         view = memoryview(data) if isinstance(data, bytes) else data
         total = len(view)
         u32_at = _U32.unpack_from
         i32_at = _I32.unpack_from
         from_bytes = int.from_bytes
         try:
-            magic, version, n, _ = _BLOB_HEADER.unpack_from(view, 0)
+            magic, version, n = _BLOB_HEADER.unpack_from(view, 0)
             if magic != INDEX_BLOB_MAGIC:
                 raise IndexFormatError("bad serialized-index magic")
             if version != INDEX_BLOB_VERSION:
@@ -622,7 +409,7 @@ class PackedIndex:
             self.root_mask = 1 if n else 0
             pos = _BLOB_HEADER.size
             masks = []
-            for _ in range(6):
+            for _ in range(3):
                 (size,) = u32_at(view, pos)
                 pos += 4
                 end = pos + size
@@ -630,11 +417,7 @@ class PackedIndex:
                     raise IndexFormatError("serialized index is truncated")
                 masks.append(from_bytes(view[pos:end], "little"))
                 pos = end
-            self.leaf_mask = masks[0]
-            self.first_mask = masks[1]
-            self.last_mask = masks[2]
-            # masks[3:] — has_next/has_prev/prev_adjacent — are not
-            # part of the shard surface and stay unbound.
+            self.leaf_mask, self.first_mask, self.last_mask = masks
             (count,) = u32_at(view, pos)
             pos += 4
             if count > total:
@@ -688,7 +471,7 @@ class PackedIndex:
                 f"serialized index does not parse ({type(exc).__name__})"
             ) from exc
         self._data = view
-        self._arrays_at = pos
+        self._children_at = pos
         self._node_of: Optional[List[NodeId]] = None
 
     def labelled(self, label: str) -> int:
@@ -699,23 +482,17 @@ class PackedIndex:
         if self._node_of is None:
             n = self.n
             data = self._data
-            # parent…prev_sibling (six n-wide arrays) are unused here:
-            # children order already encodes every Gorn address.
-            begin = self._arrays_at + 4 * 6 * n
-            split = begin + 4 * (n + 1)
+            split = self._children_at + 4 * (n + 1)
             if split > len(data):
                 raise IndexFormatError("serialized index is truncated")
-            child_start = array("i")
-            child_start.frombytes(data[begin:split])
-            if not _NATIVE_LE:  # pragma: no cover - big-endian platforms
-                child_start.byteswap()
+            child_start = _unpack_ints(data[self._children_at:split])
             end = split + 4 * child_start[n]
-            if end > len(data):
-                raise IndexFormatError("serialized index is truncated")
-            child_ids = array("i")
-            child_ids.frombytes(data[split:end])
-            if not _NATIVE_LE:  # pragma: no cover - big-endian platforms
-                child_ids.byteswap()
+            if end != len(data):
+                raise IndexFormatError(
+                    f"serialized index is {len(data)} bytes, but its "
+                    f"child arrays end at byte {end}"
+                )
+            child_ids = _unpack_ints(data[split:end])
             node_of: List[NodeId] = [()] * n
             for i in range(n):
                 base = node_of[i]
@@ -866,9 +643,6 @@ def repair_index(
     leaf_bits = 0
     first_bits = 0
     last_bits = 0
-    has_next_bits = 0
-    has_prev_bits = 0
-    prev_adjacent_bits = 0
     depth_mid[0] = old.depth[u]
     parent_mid[0] = old.parent[u]  # always below the site, id unchanged
     for i in range(u, new_end):
@@ -888,47 +662,17 @@ def repair_index(
             if previous >= 0:
                 next_mid[previous - u] = j
                 prev_mid[j - u] = previous
-                has_next_bits |= 1 << previous
-                has_prev_bits |= 1 << j
-                if previous == j - 1:
-                    prev_adjacent_bits |= 1 << j
             previous = j
         children_mask_mid[k] = mask
         if kids:
             first_bits |= 1 << preindex[kids[0]]
             last_bits |= 1 << preindex[kids[-1]]
 
-    # ``site`` itself keeps its sibling context: its first/last/has-
-    # sibling bits come from the old index, not the subtree walk.
+    # ``site`` itself keeps its sibling context: its first/last bits
+    # come from the old index, not the subtree walk.
     u_bit = 1 << u
     first_bits |= old.first_mask & u_bit
     last_bits |= old.last_mask & u_bit
-    has_next_bits |= old.has_next_mask & u_bit
-    has_prev_bits |= old.has_prev_mask & u_bit
-    prev_adjacent_bits |= old.prev_adjacent_mask & u_bit
-
-    # -- postorder ranks of the new subtree (iterative DFS) ------------
-    r0 = old.post_of[u] - (old_size - 1)
-    r_hi = r0 + old_size
-    post_mid = [0] * new_size
-    rank = r0
-    stack = [(u, 0)]
-    while stack:
-        node, cursor = stack[-1]
-        k = node - u
-        start = child_start_mid[k]
-        stop = (
-            child_start_mid[k + 1]
-            if k + 1 < new_size
-            else len(child_ids_mid)
-        )
-        if start + cursor < stop:
-            stack[-1] = (node, cursor + 1)
-            stack.append((child_ids_mid[start + cursor], 0))
-        else:
-            stack.pop()
-            post_mid[k] = rank
-            rank += 1
 
     # -- splice the navigation arrays ----------------------------------
     #
@@ -936,7 +680,7 @@ def repair_index(
     # below the site — including references *to* the site, whose id is
     # unchanged — stay put.  No old id lands inside (u, old_end), and
     # crucially the only *prefix* nodes that can reference a suffix id
-    # (as child, sibling, subtree end or postorder rank) are the proper
+    # (as child, sibling or subtree end) are the proper
     # ancestors of the site — a contiguous id interval [j, e) with
     # e > old_end and j < u contains u, so j is an ancestor.  Prefix
     # arrays are therefore plain copies patched along the ancestor
@@ -966,7 +710,6 @@ def repair_index(
         next_suffix = old.next_sibling[old_end:]
         prev_suffix = old.prev_sibling[old_end:]
         end_suffix = old.subtree_end[old_end:]
-        post_suffix = old.post_of[old_end:]
         cs_suffix = old.child_start[old_end:]
         ci_suffix = old.child_ids[old.child_start[old_end]:]
     else:
@@ -982,7 +725,6 @@ def repair_index(
             for v in old.prev_sibling[old_end:]
         ]
         end_suffix = [e + delta for e in old.subtree_end[old_end:]]
-        post_suffix = [r + delta for r in old.post_of[old_end:]]
         cs_suffix = [s + delta for s in old.child_start[old_end:]]
         ci_suffix = [
             c + delta for c in old.child_ids[old.child_start[old_end]:]
@@ -992,11 +734,9 @@ def repair_index(
     repaired.depth = old.depth[:u] + depth_mid + old.depth[old_end:]
     end_prefix = old.subtree_end[:u]
     next_prefix = old.next_sibling[:u]
-    post_prefix = old.post_of[:u]
     if delta:
         for a in ancestors:
             end_prefix[a] += delta  # the splice stretches every ancestor
-            post_prefix[a] += delta  # ancestors finish after the subtree
             v = next_prefix[a]
             if v >= old_end:
                 next_prefix[a] = v + delta
@@ -1005,7 +745,6 @@ def repair_index(
         + [new_tree._subtree_end[nodes[i]] for i in range(u, new_end)]
         + end_suffix
     )
-    repaired.post_of = post_prefix + post_mid + post_suffix
     repaired.next_sibling = next_prefix + next_mid + next_suffix
     repaired.next_sibling[u] = (
         old.next_sibling[u] + delta
@@ -1068,25 +807,6 @@ def repair_index(
         old.first_mask & ~u_bit, first_bits
     )
     repaired.last_mask = _splice_bits(old.last_mask & ~u_bit, last_bits)
-    repaired.has_next_mask = _splice_bits(
-        old.has_next_mask & ~u_bit, has_next_bits
-    )
-    repaired.has_prev_mask = _splice_bits(
-        old.has_prev_mask & ~u_bit, has_prev_bits
-    )
-    prev_adjacent = _splice_bits(
-        old.prev_adjacent_mask & ~u_bit, prev_adjacent_bits
-    )
-    if new_end < n1:
-        # The one adjacency the splice can flip: the node right after
-        # the subtree is prev-adjacent iff its left sibling is now the
-        # last spliced node — which depends on the *new* subtree size.
-        boundary = 1 << new_end
-        if repaired.prev_sibling[new_end] == new_end - 1:
-            prev_adjacent |= boundary
-        else:
-            prev_adjacent &= ~boundary
-    repaired.prev_adjacent_mask = prev_adjacent
 
     label_bits: Dict[str, int] = {}
     new_labels = new_tree._labels

@@ -9,6 +9,7 @@ and the query path — serial, fanned-out, windowed, and after in-place
 ``replace`` edits — element-wise against the naive per-tree loop.
 """
 
+import copy
 import json
 import os
 
@@ -293,6 +294,38 @@ def test_a_failed_ingest_leaves_the_store_files_as_they_were(
     with CorpusStore.open(root, readonly=True) as reopened:
         assert reopened.tree_count == 4
         assert all(_same_tree(reopened.tree(i), t) for i, t in enumerate(kept))
+        result = reopened.run(QUERIES[:4])
+        assert result.rows == _naive_corpus_rows(kept, QUERIES[:4])
+        assert {c.source for c in result.chunks} == {"lanes"}
+
+
+@pytest.mark.parametrize("tail", ["fresh", "resumed"])
+def test_a_failed_multi_segment_ingest_takes_back_every_segment_it_sealed(
+    tmp_path, tail
+):
+    """A stream that fails after sealing whole segments takes them all
+    back: ``tree_count`` and the manifest stay as they were, fresh
+    segments leave no file behind, a resumed tail is cut back, and the
+    next ingest lands at the old count."""
+    t, u = _trees(2, seed=31)
+    root = str(tmp_path / "s")
+    kept = [u] if tail == "resumed" else []
+    with CorpusStore.create(root, segment_size=2) as store:
+        store.ingest(kept)
+        manifest = copy.deepcopy(store._manifest)
+        names = sorted(os.listdir(root))
+        with pytest.raises(TypeError):
+            store.ingest([t, t, u, "not a tree"])
+        assert store.tree_count == len(kept)
+        assert store._manifest == manifest
+        with open(os.path.join(root, "store.json"), encoding="utf-8") as handle:
+            assert json.load(handle) == manifest
+        assert sorted(os.listdir(root)) == names
+        assert store.append(u) == len(kept)
+    kept.append(u)
+    with CorpusStore.open(root, readonly=True) as reopened:
+        assert reopened.tree_count == len(kept)
+        assert all(_same_tree(reopened.tree(i), x) for i, x in enumerate(kept))
         result = reopened.run(QUERIES[:4])
         assert result.rows == _naive_corpus_rows(kept, QUERIES[:4])
         assert {c.source for c in result.chunks} == {"lanes"}

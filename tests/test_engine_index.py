@@ -37,9 +37,12 @@ def test_pre_post_numbering_is_the_classic_descendant_test():
     # u ≺ v  ⇔  pre(u) < pre(v) and post(v) < post(u)
     for tree in tree_family(count=6):
         idx = TreeIndex(tree)
+        post = [0] * idx.n
+        for rank, u in enumerate(tree.nodes_postorder):
+            post[idx.id_of[u]] = rank
         for i in range(idx.n):
             for j in range(idx.n):
-                classic = i < j and idx.post_of[j] < idx.post_of[i]
+                classic = i < j and post[j] < post[i]
                 assert idx.descendant(i, j) == classic
 
 

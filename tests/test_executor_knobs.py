@@ -242,3 +242,17 @@ class TestWorkerCrashRetries:
         assert report.fell_back
         assert report.retries == 2
         assert "worker failed" in report.error
+
+    def test_a_pool_shut_down_under_the_batch_degrades_like_a_dead_worker(
+        self, trees, expected
+    ):
+        # Another batch's heal can shut a routed pool down after this
+        # batch picked it: the refused submit sends the chunk down the
+        # dead-worker ladder instead of failing the whole batch.
+        pool = ProcessPoolExecutor(max_workers=1)
+        pool.shutdown()
+        result = run_batch(trees, [xpath_query("//δ")], workers=1, pool=pool)
+        assert result.rows == expected
+        report = result.chunks[0]
+        assert report.fell_back
+        assert "worker failed: RuntimeError" in report.error

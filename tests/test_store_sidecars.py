@@ -1,16 +1,16 @@
 """The zero-rebuild path: index serialization, ``.rpridx`` sidecars,
 and segment compaction.
 
-Bottom-up: :func:`serialize_index` round-trips byte-identically and
-:class:`PackedIndex` exposes exactly the :class:`TreeIndex` lane
-surface (hypothesis, arbitrary trees); the sidecar file format rejects
-every torn prefix and every interior corruption rather than ever
-returning wrong bytes; the store writes generation-tied sidecars at
-ingest, splices them through ``replace``, rejects stale generation
-tags, lazily rebuilds what is missing or corrupt, and keeps answering
-correctly (against the naive loop) through all of it; ``compact``
-rewrites a recovery-fragmented store into full segments without
-changing a single answer.
+Bottom-up: :class:`PackedIndex` reads every byte :func:`serialize_index`
+writes and exposes exactly the :class:`TreeIndex` lane surface
+(hypothesis, arbitrary trees); the sidecar file format rejects every
+torn prefix and every interior corruption rather than ever returning
+wrong bytes; the store writes generation-tied sidecars at ingest,
+splices them through ``replace``, rejects stale generation tags and
+old format versions, lazily rebuilds what is missing or corrupt, and
+keeps answering correctly (against the naive loop) through all of it;
+``compact`` rewrites a recovery-fragmented store into full segments
+without changing a single answer.
 """
 
 import os
@@ -36,13 +36,11 @@ from repro.corpus import (
     xpath_query,
 )
 from repro.corpus import executor
-from repro.corpus.segment import Segment
+from repro.corpus.segment import SIDECAR_VERSION, Segment
 from repro.engine.index import (
     IndexFormatError,
     PackedIndex,
     TreeIndex,
-    deserialize_index,
-    index_structures,
     serialize_index,
 )
 from repro.engine.nodeset import iter_bits
@@ -84,6 +82,39 @@ def _segment_files(store):
     ]
 
 
+def _assert_lane_of(blob, tree):
+    """``blob`` parses to exactly the lane surface of ``TreeIndex(tree)``,
+    and its child arrays give back every node address."""
+    index = TreeIndex(tree)
+    packed = PackedIndex(blob)
+    assert (packed.n, packed.all_mask, packed.root_mask) == (
+        index.n, index.all_mask, index.root_mask
+    )
+    assert (packed.leaf_mask, packed.first_mask, packed.last_mask) == (
+        index.leaf_mask, index.first_mask, index.last_mask
+    )
+    assert packed.label_mask == index.label_mask
+    assert packed.move_groups == index.move_groups
+    assert packed.to_nodes(index.all_mask) == tuple(index.node_of)
+
+
+def _assert_sidecars_hold_the_lanes(store):
+    """Every segment's sidecar is tagged as its manifest entry says and
+    holds each of its records' lanes."""
+    position = 0
+    for entry, segment_file in zip(
+        store._manifest["segments"], _segment_files(store)
+    ):
+        with Sidecar(sidecar_path(segment_file)) as sidecar:
+            assert sidecar.segment_id == entry["id"]
+            assert sidecar.generation == entry["sidecar_gen"]
+            assert sidecar.count == entry["trees"]
+            for local in range(entry["trees"]):
+                _assert_lane_of(sidecar.blob(local), store.tree(position))
+                position += 1
+    assert position == store.tree_count
+
+
 # ---------------------------------------------------------------------------
 # index serialization
 # ---------------------------------------------------------------------------
@@ -91,15 +122,20 @@ def _segment_files(store):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
-def test_serialized_index_round_trips_byte_identically(seed):
+def test_packed_index_reads_every_byte_serialize_index_writes(seed):
     tree = random_tree(
         1 + seed % 40, value_pool=(1, 2, 3), max_children=4, seed=seed
     )
-    index = TreeIndex(tree)
-    blob = serialize_index(index)
-    restored = deserialize_index(tree, blob)
-    assert index_structures(restored) == index_structures(index)
-    assert serialize_index(restored) == blob
+    blob = serialize_index(TreeIndex(tree))
+    # ``to_nodes`` parses the child arrays that close the blob and
+    # refuses a blob that ends anywhere else: it reaches len(blob).
+    assert PackedIndex(blob).to_nodes(1) == ((),)
+    with pytest.raises(IndexFormatError):
+        PackedIndex(blob + b"\0").to_nodes(1)
+    old = bytearray(blob)
+    struct.pack_into("<H", old, 4, 1)  # a format-1 blob
+    with pytest.raises(IndexFormatError):
+        PackedIndex(bytes(old))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -109,20 +145,14 @@ def test_packed_index_exposes_the_tree_index_lane_surface(seed):
         1 + seed % 40, value_pool=(1, 2, 3), max_children=4, seed=seed
     )
     index = TreeIndex(tree)
-    packed = PackedIndex(serialize_index(index))
-    assert packed.n == index.n
-    assert packed.all_mask == index.all_mask
-    assert packed.leaf_mask == index.leaf_mask
-    assert packed.first_mask == index.first_mask
-    assert packed.last_mask == index.last_mask
-    assert packed.label_mask == index.label_mask
-    assert packed.move_groups == index.move_groups
+    blob = serialize_index(index)
+    _assert_lane_of(blob, tree)
+    packed = PackedIndex(blob)
     for label, bits in index.label_mask.items():
         assert packed.labelled(label) == bits
         assert packed.to_nodes(bits) == tuple(
             index.node_of[i] for i in iter_bits(bits)
         )
-    assert packed.to_nodes(index.all_mask) == tuple(index.node_of)
 
 
 @given(st.data())
@@ -132,15 +162,7 @@ def test_any_truncated_index_blob_raises_never_misparses(data):
     blob = serialize_index(TreeIndex(tree))
     cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
     with pytest.raises(IndexFormatError):
-        PackedIndex(blob[:cut])
-        deserialize_index(tree, blob[:cut])
-
-
-def test_deserialize_rejects_a_blob_for_the_wrong_tree():
-    small, big = _trees(2, seed=9)[0], random_tree(30, seed=9)
-    blob = serialize_index(TreeIndex(small))
-    with pytest.raises(IndexFormatError):
-        deserialize_index(big, blob)
+        PackedIndex(blob[:cut]).to_nodes(1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +226,7 @@ def test_ingest_writes_generation_tied_sidecars(tmp_path):
     store = CorpusStore.create(str(tmp_path / "s"), segment_size=4)
     store.ingest(iter(_trees(11)))
     with store:
-        position = 0
-        for entry, segment_file in zip(
-            store._manifest["segments"], _segment_files(store)
-        ):
-            with Sidecar(sidecar_path(segment_file)) as sidecar:
-                assert sidecar.segment_id == entry["id"]
-                assert sidecar.generation == entry["sidecar_gen"]
-                assert sidecar.count == entry["trees"]
-                for local in range(entry["trees"]):
-                    tree = store.tree(position)
-                    restored = deserialize_index(
-                        tree, bytes(sidecar.blob(local))
-                    )
-                    assert index_structures(restored) == index_structures(
-                        TreeIndex(tree)
-                    )
-                    position += 1
+        _assert_sidecars_hold_the_lanes(store)
 
 
 def test_packed_window_matches_fast_engine_and_naive_loop(tmp_path):
@@ -302,12 +308,8 @@ def test_replace_splices_the_sidecar_in_place(tmp_path):
         with Sidecar(sidecar_path(_segment_files(store)[1])) as sidecar:
             assert sidecar.generation == entry["sidecar_gen"]
             local = 6 - 5  # tree 6 lives at slot 1 of segment 1
-            restored = deserialize_index(
-                store.tree(6), bytes(sidecar.blob(local))
-            )
-            assert index_structures(restored) == index_structures(
-                TreeIndex(store.tree(6))
-            )
+            _assert_lane_of(sidecar.blob(local), store.tree(6))
+        _assert_sidecars_hold_the_lanes(store)
         expected = _expected(store)
         assert store.run(PACKED_QUERIES, engine="vectorized").rows == expected
 
@@ -326,6 +328,45 @@ def test_sidecars_env_kill_switch_disables_the_packed_path(
         expected = _expected(plain)
         assert plain.run(PACKED_QUERIES, engine="vectorized").rows == expected
         assert not os.path.exists(side_file)  # disabled: no rebuild either
+
+
+@pytest.mark.parametrize("readonly", [True, False])
+def test_format_1_sidecars_answer_like_the_naive_loop(tmp_path, readonly):
+    """Sidecars of an older format fail the version check: a readonly
+    store answers from trees and writes nothing, a writable one
+    rewrites each sidecar at the current format on first use."""
+    path = str(tmp_path / "s")
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(_trees(21, seed=1)))
+
+    def sidecar_versions():
+        return {
+            name: struct.unpack_from("<I", Path(path, name).read_bytes(), 8)[0]
+            for name in os.listdir(path)
+            if name.endswith(".rpridx")
+        }
+
+    for name in sidecar_versions():
+        with open(os.path.join(path, name), "r+b") as handle:
+            handle.seek(8)  # the header's u32 format version
+            handle.write(struct.pack("<I", 1))
+    assert set(sidecar_versions().values()) == {1}
+    before = {name: Path(path, name).read_bytes() for name in os.listdir(path)}
+    with CorpusStore.open(path, readonly=readonly) as store:
+        expected = _expected(store)
+        result = store.run(PACKED_QUERIES)
+        assert result.rows == expected
+        if readonly:
+            assert {c.source for c in result.chunks} == {"trees"}
+        else:
+            assert {c.source for c in result.chunks} == {"lanes"}
+            _assert_sidecars_hold_the_lanes(store)
+    if readonly:
+        assert {
+            name: Path(path, name).read_bytes() for name in os.listdir(path)
+        } == before
+    else:
+        assert set(sidecar_versions().values()) == {SIDECAR_VERSION} == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +517,32 @@ def test_a_lane_served_chunk_still_meets_its_budget_and_faults(
     assert loads["trees"] > 0
 
 
+def test_a_degraded_chunk_takes_warm_trees_before_its_shard(tmp_path, loads):
+    """A lane-served chunk that degrades loads its trees the way every
+    chunk does: windows an earlier tree-path run left warm unpickle
+    nothing."""
+    path = str(tmp_path / "s")
+    trees = _trees(12, seed=12)
+    with CorpusStore.create(path, segment_size=12) as store:
+        store.ingest(iter(trees))
+    expected = list(_naive_corpus_rows(trees[:6], PACKED_QUERIES))
+    with CorpusStore.open(path, readonly=True) as store:
+        warm = store.run(
+            PACKED_QUERIES, engine="reference", chunk_size=2, stop=6
+        )
+        assert [c.source for c in warm.chunks] == ["trees"] * 3
+        assert loads["trees"] > 0
+        loads.update(trees=0)
+        result = store.run(PACKED_QUERIES, budget_steps=1, chunk_size=2, stop=6)
+    assert list(result.rows) == expected
+    assert len(result.chunks) == 3
+    assert all(
+        c.fell_back and c.source == "trees" and "ResourceExhausted" in c.error
+        for c in result.chunks
+    )
+    assert loads["trees"] == 0
+
+
 def test_tree_path_chunks_keep_a_bounded_warm_map(tmp_path, monkeypatch):
     """Every distinct window that runs on trees enters the token's warm
     chunk map; the map stays at its bound however many there are, and
@@ -548,9 +615,8 @@ def test_compact_rewrites_full_segments_without_changing_answers(tmp_path):
         assert store.run(PACKED_QUERIES, engine="vectorized").rows == before
         assert store.run(PACKED_QUERIES, engine="fast").rows == before
         # Fresh sidecars rode along, tagged with the new generation.
-        for entry, segment_file in zip(entries, _segment_files(store)):
-            with Sidecar(sidecar_path(segment_file)) as sidecar:
-                assert sidecar.generation == entry["sidecar_gen"]
+        assert {e["sidecar_gen"] for e in entries} == {store.generation}
+        _assert_sidecars_hold_the_lanes(store)
         # On-disk files are exactly the manifest's: the old generation's
         # segments and sidecars are gone.
         names = {
