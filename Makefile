@@ -9,7 +9,7 @@ FUZZ_BUDGET ?= 200
 FAULT_SEED ?= 0
 FAULT_CASES ?= 200
 
-.PHONY: test test-quick test-leaks fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check perfbench-selftest
+.PHONY: test test-quick test-leaks test-dev fuzz replay fault serve-chaos bench bench-full bench-walk bench-corpus bench-planner bench-kernel bench-store bench-serve bench-coldpath bench-check perfbench-selftest
 
 ## Full tier-1 suite (includes the marked oracle fuzz and fault tests).
 test:
@@ -20,6 +20,15 @@ test:
 ## fails the test that leaked it.
 test-leaks:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
+
+## The thread-safety, server and result-cache tests in Python's
+## development mode: asyncio debug mode on, and a file left unclosed
+## (a ResourceWarning) fails its test.  It includes the stress test of
+## threads sharing kept stacked shards.
+DEV_TESTS = tests/test_thread_safety.py tests/test_service_server.py \
+	tests/test_service_result_cache.py
+test-dev:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -m pytest -x -q -W error::ResourceWarning $(DEV_TESTS)
 
 ## Everything except the fuzz and fault rounds — the quick local loop.
 test-quick:

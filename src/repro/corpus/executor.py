@@ -29,16 +29,17 @@ of the corpus:
 
 Each chunk travels as one frozen :class:`ChunkTask`.  A worker process
 (or the parent, serially, where many service threads share it) keeps
-three pieces of warm state, each a 64-entry
+four pieces of warm state, each a 64-entry
 :class:`~repro.caching.KeyedLRU`: the trees and indexes of one corpus
-token's tree-path chunks, keyed by window, and the open segment files
-and open index sidecars, keyed by file path and tagged with the
-generation the file was opened under.  A sidecar's entry also holds
-the :class:`PackedIndex` lane parsed from each of its records, so
-overlapping windows parse a record once and the lanes leave with their
-sidecar.  An evicted segment or sidecar is dropped, never closed: its
-mapping stays valid for every reader still using it, and goes away
-when the last one lets go.
+token's tree-path chunks, keyed by window; the open segment files and
+open index sidecars, keyed by store and file path and tagged with the
+generation the file was opened under; and the stacked shards of
+lane-served windows asked for more than once, keyed by store, sidecar
+path, sidecar tag and window.  A sidecar's entry also holds the
+:class:`PackedIndex` lane parsed from each of its records, so
+overlapping windows parse a record once.  An evicted segment or
+sidecar is dropped, never closed: its mapping stays valid for every
+reader still using it, and goes away when the last one lets go.
 
 Resilience (the PR-4 contract, lifted to chunks): the fast attempt of a
 chunk runs under an optional per-chunk :class:`~repro.resilience.Budget`
@@ -57,7 +58,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..caching import KeyedLRU
 from ..engine import fo as fast_fo
@@ -274,11 +275,20 @@ def evaluate_cell(query: CorpusQuery, tree: Tree, engine: str = "fast"):
 # chunks
 # ---------------------------------------------------------------------------
 
-#: A store chunk's byte coordinates: ``(segment path, generation, lo,
-#: hi, sidecar)`` names records ``[lo, hi)`` of one segment file, and
-#: ``sidecar`` — ``(sidecar path, generation tag)`` or ``None`` — the
-#: segment's index sidecar.
-Shard = Tuple[str, int, int, int, Optional[Tuple[str, int]]]
+class Shard(NamedTuple):
+    """A store chunk's byte coordinates: records ``[lo, hi)`` of the
+    segment file at ``path`` as of store ``generation``.  ``sidecar`` —
+    ``(sidecar path, generation tag)`` or ``None`` — names the
+    segment's index sidecar, and ``store`` the store's identity, which
+    every worker cache keys on: two stores created one after the other
+    at one path share file paths, generations and tags."""
+
+    path: str
+    generation: int
+    lo: int
+    hi: int
+    sidecar: Optional[Tuple[str, int]]
+    store: str
 
 
 @dataclass(frozen=True)
@@ -308,11 +318,13 @@ class ChunkTask:
     shard: Optional[Shard] = None
 
 
-#: How many tree-path chunks one corpus token keeps warm per process.
-#: Lane-served store chunks never enter the map; every chunk that runs
-#: on trees does (sidecars off or invalid, an explicit ``reference``
-#: batch, a query without an IR plan, routed ``TreeCorpus`` windows),
-#: so it is bounded rather than growing with every distinct window.
+#: How many chunks each warm map holds per process: the tree-path
+#: chunks of one corpus token, and the stacked shards of lane-served
+#: windows.  Lane-served store chunks never enter the tree-path map;
+#: every chunk that runs on trees does (sidecars off or invalid, an
+#: explicit ``reference`` batch, a query without an IR plan, routed
+#: ``TreeCorpus`` windows), so both are bounded rather than growing
+#: with every distinct window.
 _WARM_CHUNKS = 64
 
 #: Worker-side warm chunks: ``{token: KeyedLRU((start, stop) → (trees,
@@ -321,22 +333,37 @@ _WARM_CHUNKS = 64
 #: index rebuilds on every later batch; a routed worker that evicted a
 #: chunk answers :data:`_CACHE_MISS` and the parent reruns it.  A new
 #: token retires the old one's chunks, so it holds one corpus's chunks
-#: at most.
+#: at most.  ``indexes`` is ``None`` for a chunk warmed by an engine
+#: that reads none (the reference evaluators); the first chunk on an
+#: engine that does builds them.
 _WORKER_CHUNKS: Dict[str, KeyedLRU] = {}
 
-#: Worker-side open segments: path → ``(generation, Segment)``.  A
-#: request under another generation (any store mutation) replaces the
-#: entry.  Evicted segments are dropped, never closed: a thread still
-#: reading one keeps its mapping alive until it is done.
+#: Worker-side open segments: ``(store, path) → (generation,
+#: Segment)``.  A request under another generation (any store
+#: mutation) replaces the entry.  Evicted segments are dropped, never
+#: closed: a thread still reading one keeps its mapping alive until it
+#: is done.
 _WORKER_SEGMENTS = KeyedLRU(64, name="worker segments")
 
-#: Worker-side open index sidecars: path → ``(tag, Sidecar | None,
-#: {record: PackedIndex})``.  ``None`` caches a validation failure, so
-#: a corrupt or stale sidecar costs one open per tag, not one per
-#: chunk.  Each record's lane is parsed once, whatever windows cover
-#: it; lanes are zero-copy views of the sidecar's mapping and live in
-#: its entry, so they leave with it.
+#: Worker-side open index sidecars: ``(store, path) → (tag, Sidecar |
+#: None, {record: PackedIndex})``.  ``None`` caches a validation
+#: failure, so a corrupt or stale sidecar costs one open per tag, not
+#: one per chunk.  Each record's lane is parsed once, whatever windows
+#: cover it; lanes are zero-copy views of the sidecar's mapping and
+#: keep it alive while anything holds them.
 _WORKER_SIDECARS = KeyedLRU(64, name="worker sidecars")
+
+#: Worker-side stacked shards of lane-served windows: ``(store, sidecar
+#: path, tag, lo, hi) → StackedShard``, stacked from that sidecar's
+#: lanes.  A rewritten sidecar carries a new tag (and a new store a new
+#: id), so it can never be answered from a shard of the old bytes.  A
+#: shard is kept from its window's second request on
+#: (:data:`_ASKED_ONCE` remembers the first): stacking costs less than a
+#: map entry's upkeep for a window nobody asks for again.
+_WORKER_SHARDS = KeyedLRU(_WARM_CHUNKS, name="worker shards")
+
+#: The lane-served windows stacked once and not kept, same keys.
+_ASKED_ONCE = KeyedLRU(_WARM_CHUNKS, name="windows asked once")
 
 #: Returned by a worker asked to run a chunk from warm state it does
 #: not have (e.g. the worker process was restarted).  The parent then
@@ -348,36 +375,37 @@ def _shard_trees(shard: Shard) -> Tuple[Tree, ...]:
     """Materialize one shard: map its segment (once per generation)
     and unpickle only records ``[lo, hi)`` — the store fan-out path
     where the parent ships byte coordinates instead of trees."""
-    path, generation, lo, hi = shard[:4]
-    entry = _WORKER_SEGMENTS.get(path)
-    if entry is None or entry[0] != generation:
-        entry = (generation, Segment(path))
-        _WORKER_SEGMENTS.put(path, entry)
-    return entry[1].trees(lo, hi)
+    key = (shard.store, shard.path)
+    entry = _WORKER_SEGMENTS.get(key)
+    if entry is None or entry[0] != shard.generation:
+        entry = (shard.generation, Segment(shard.path))
+        _WORKER_SEGMENTS.put(key, entry)
+    return entry[1].trees(shard.lo, shard.hi)
 
 
 def _shard_lanes(shard: Shard) -> Optional[Tuple[PackedIndex, ...]]:
     """The shard's :class:`PackedIndex` lanes, parsed straight from its
     sidecar's bytes — or ``None`` when the sidecar is missing, stale or
     corrupt, in which case the caller loads trees instead."""
-    _, _, lo, hi, (path, tag) = shard
-    entry = _WORKER_SIDECARS.get(path)
+    path, tag = shard.sidecar
+    key = (shard.store, path)
+    entry = _WORKER_SIDECARS.get(key)
     if entry is None or entry[0] != tag:
         try:
             sidecar = Sidecar(path)
         except (OSError, StoreError):
             sidecar = None
         if sidecar is not None and (
-            sidecar.generation != tag or sidecar.count < hi
+            sidecar.generation != tag or sidecar.count < shard.hi
         ):
             sidecar = None
         entry = (tag, sidecar, {})
-        _WORKER_SIDECARS.put(path, entry)
+        _WORKER_SIDECARS.put(key, entry)
     _, sidecar, records = entry
     if sidecar is None:
         return None
     lanes = []
-    for i in range(lo, hi):
+    for i in range(shard.lo, shard.hi):
         lane = records.get(i)
         if lane is None:
             try:
@@ -389,14 +417,47 @@ def _shard_lanes(shard: Shard) -> Optional[Tuple[PackedIndex, ...]]:
     return tuple(lanes)
 
 
+def _lane_shard(shard: Shard) -> Optional[StackedShard]:
+    """The chunk's sidecar lanes stacked into one shard — kept from an
+    earlier request, or stacked here from :func:`_shard_lanes` and kept
+    if the window was asked for before — or ``None`` when the sidecar
+    is missing, stale or corrupt.
+
+    Threads racing on a window not yet kept may each stack it; each
+    answers from its own shard of the same bytes, so a race costs a
+    stacking, never an answer."""
+    key = (shard.store, *shard.sidecar, shard.lo, shard.hi)
+    stacked = _WORKER_SHARDS.get(key)
+    if stacked is not None:
+        return stacked
+    lanes = _shard_lanes(shard)
+    if lanes is None:
+        return None
+    stacked = StackedShard(lanes)
+    if key in _ASKED_ONCE:
+        _WORKER_SHARDS.put(key, stacked)
+    else:
+        _ASKED_ONCE.put(key, True)
+    return stacked
+
+
+def _reads_indexes(engine: Union[str, Tuple[str, ...]]) -> bool:
+    """Does a chunk on ``engine`` (one name, or one per query) read
+    tree indexes?  Only the reference evaluators read none."""
+    picks = engine if isinstance(engine, tuple) else (engine,)
+    return any(pick != "reference" for pick in picks)
+
+
 def _warm_chunk(
     token: Optional[str],
     start: int,
     stop: int,
     trees: Tuple[Tree, ...],
+    indexed: bool = True,
 ) -> Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]:
-    """Keep freshly loaded chunk trees warm under ``token``, with
-    their indexes built here.  Without a token, no caching."""
+    """Keep freshly loaded chunk trees warm under ``token``, with their
+    indexes built here when ``indexed`` (the chunk's engine reads them).
+    Without a token, no caching."""
     if token is None:
         return trees, None
     chunks = _WORKER_CHUNKS.get(token)
@@ -409,34 +470,37 @@ def _warm_chunk(
         )
         for stale in [key for key in list(_WORKER_CHUNKS) if key != token]:
             _WORKER_CHUNKS.pop(stale, None)
-    indexes = tuple(index_for(tree) for tree in trees)
+    indexes = tuple(index_for(tree) for tree in trees) if indexed else None
     chunks.put((start, stop), (trees, indexes))
     return trees, indexes
 
 
 def _chunk_trees(
-    task: ChunkTask,
+    task: ChunkTask, indexed: bool
 ) -> Optional[Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]]:
     """The one way a chunk gets its trees and indexes: the pinned ones
     it carries, else this worker's warm copies, else the trees it
-    ships or its shard's records, warmed under its token.  ``None``
-    when it carries neither (a routed worker that lost its warm
-    state)."""
+    ships or its shard's records, warmed under its token.  Indexes are
+    built only when ``indexed`` — a warm chunk that has none gets them
+    from the first engine that reads them.  ``None`` when the chunk
+    carries neither (a routed worker that lost its warm state)."""
     if task.indexes is not None:
         return task.trees, task.indexes
     chunks = _WORKER_CHUNKS.get(task.token)
     cached = (
         chunks.get((task.start, task.stop)) if chunks is not None else None
     )
-    if cached is not None:
+    if cached is not None and (cached[1] is not None or not indexed):
         return cached
-    if task.trees is not None:
+    if cached is not None:
+        trees = cached[0]
+    elif task.trees is not None:
         trees = task.trees
     elif task.shard is not None:
         trees = _shard_trees(task.shard)
     else:
         return None
-    return _warm_chunk(task.token, task.start, task.stop, trees)
+    return _warm_chunk(task.token, task.start, task.stop, trees, indexed)
 
 
 def _ir_batch_plan(query: CorpusQuery):
@@ -473,37 +537,39 @@ def _evaluate_rows(
     trees: Optional[Sequence[Tree]],
     queries: Sequence[CorpusQuery],
     engine: Union[str, Tuple[str, ...]],
-    indexes: Optional[Sequence[Union[TreeIndex, PackedIndex]]],
+    indexes: Optional[Sequence[TreeIndex]],
+    shard: Optional[StackedShard] = None,
 ) -> Tuple[Tuple[object, ...], ...]:
     """One chunk's cells: one stacked shard pass for the queries routed
     to it, then the tree-outer, query-inner sweep for the rest.
 
-    ``indexes`` is the chunk's index sequence, each tree in its own bit
-    lane of the stacked pass.  With ``trees`` it holds pinned
+    With ``trees``, ``indexes`` holds the chunk's pinned
     :class:`TreeIndex` objects, adopted tree by tree (``None``: built
-    here when the stacked pass needs them); without trees it holds
-    :class:`PackedIndex` lanes straight from a sidecar, and every query
-    must ride the stacked pass."""
+    here when the stacked pass needs them), and the shard is stacked
+    from them, each tree in its own bit lane.  Without trees, ``shard``
+    is a lane-served chunk's shard, stacked from :class:`PackedIndex`
+    lanes straight from a sidecar, and every query must ride it."""
     engines, plans = _stacked_plans(queries, engine)
     if trees is not None:
         for query in queries:
             compile_query(query)
-    stacked = indexes
-    if stacked is None and plans and trees:
-        stacked = tuple(index_for(tree) for tree in trees)
+        if plans and trees:
+            if indexes is None:
+                indexes = tuple(index_for(tree) for tree in trees)
+            shard = StackedShard(indexes)
     columns: Dict[int, List[object]] = {}
-    if plans and stacked:
-        shard = StackedShard(tuple(stacked))
+    if plans and shard is not None:
         for position, plan in plans.items():
             lanes = shard.split(evaluate_shard(plan, shard))
             if plan.mode == "boolean":
                 columns[position] = [bool(lane) for lane in lanes]
             else:
                 columns[position] = [
-                    idx.to_nodes(lane) for idx, lane in zip(stacked, lanes)
+                    idx.to_nodes(lane)
+                    for idx, lane in zip(shard.indexes, lanes)
                 ]
     rows = []
-    for position in range(len(trees if trees is not None else indexes)):
+    for position in range(len(trees) if trees is not None else shard.lanes):
         tree = None
         if trees is not None:
             tree = trees[position]
@@ -534,7 +600,7 @@ def _degrade(
     and report why.  A lane-served attempt, or a worker that died,
     left no trees, so they load here."""
     if trees is None:
-        trees, indexes = _chunk_trees(task)
+        trees, indexes = _chunk_trees(task, indexed=False)
     rows = _evaluate_rows(trees, task.queries, "reference", indexes)
     return rows, ChunkReport(
         task.index, task.start, task.stop, "reference", True, error,
@@ -550,20 +616,20 @@ def _run_chunk(task: ChunkTask):
     touches (plan cache, index cache) is that worker's own warm state.
     """
     started = time.perf_counter()
-    trees = indexes = lanes = None
+    trees = indexes = shard = None
     # A store chunk with a valid sidecar whose queries all have IR
     # plans takes its lanes straight from the sidecar bytes, whatever
     # the engine name — no unpickling, no index builds.
     if (
         task.shard is not None
-        and task.shard[4] is not None
+        and task.shard.sidecar is not None
         and task.engine != "reference"
     ):
         _, plans = _stacked_plans(task.queries, "vectorized")
         if len(plans) == len(task.queries):
-            lanes = _shard_lanes(task.shard)
-    if lanes is None:
-        loaded = _chunk_trees(task)
+            shard = _lane_shard(task.shard)
+    if shard is None:
+        loaded = _chunk_trees(task, _reads_indexes(task.engine))
         if loaded is None:  # e.g. a fresh worker after a pool restart
             return _CACHE_MISS, None
         trees, indexes = loaded
@@ -591,8 +657,8 @@ def _run_chunk(task: ChunkTask):
         with context:
             rows = _evaluate_rows(
                 trees, task.queries,
-                "vectorized" if lanes is not None else task.engine,
-                lanes if lanes is not None else indexes,
+                "vectorized" if shard is not None else task.engine,
+                indexes, shard,
             )
     except (ResourceExhausted, EngineError) as exc:
         if reference or (
@@ -614,7 +680,7 @@ def _run_chunk(task: ChunkTask):
         "auto" if isinstance(task.engine, tuple) else task.engine,
         False, None, time.perf_counter() - started,
         steps=budget.steps if budget is not None else 0,
-        source="lanes" if lanes is not None else "trees",
+        source="lanes" if shard is not None else "trees",
     )
 
 
@@ -700,7 +766,7 @@ def run_batch(
     ``bounds`` overrides the automatic chunking with explicit
     ``[start, stop)`` intervals (as :class:`~repro.corpus.CorpusStore`
     passes, segment-aligned).  ``shard_for`` — a callable mapping a
-    chunk's bounds to a :data:`Shard` — makes every chunk mmap-lazy,
+    chunk's bounds to a :class:`Shard` — makes every chunk mmap-lazy,
     serial or fanned out: chunks ship *no trees at all* and each worker
     (or the parent, serially) loads only its own shard's byte range;
     ``trees`` is then unused and ``bounds`` required.  The index source

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,7 +47,13 @@ from ..engine.index import (
 )
 from ..engine.stats import CorpusStatistics, _fingerprint
 from ..trees.tree import Tree
-from .executor import BatchResult, WorkerPools, _chunk_bounds, run_batch
+from .executor import (
+    BatchResult,
+    Shard,
+    WorkerPools,
+    _chunk_bounds,
+    run_batch,
+)
 from .query import CorpusQuery
 from .segment import (
     Segment,
@@ -204,10 +211,13 @@ class CorpusStore:
         self._sidecar_ok: Dict[int, Tuple[int, Optional[Tuple[str, int]]]] = {}
         self.pools = WorkerPools()
         self._lock_path: Optional[str] = None  # held writer lock, if any
-        digest = hashlib.sha1(
+        # The random id ``create`` wrote; a manifest from before store
+        # ids keeps its path digest.  Two stores created one after the
+        # other at one path thus never share a token or worker state.
+        store_id = manifest.get("id") or hashlib.sha1(
             os.path.abspath(path).encode("utf-8")
         ).hexdigest()[:12]
-        self._identity = f"store-{digest}"
+        self._identity = f"store-{store_id}"
 
     # -- lifecycle ----------------------------------------------------
 
@@ -231,6 +241,7 @@ class CorpusStore:
         manifest = {
             "format": FORMAT,
             "version": FORMAT_VERSION,
+            "id": secrets.token_hex(8),
             "generation": 0,
             "segment_size": segment_size,
             "segments": [],
@@ -349,9 +360,9 @@ class CorpusStore:
 
     @property
     def token(self) -> str:
-        """The batch-executor corpus token.  Embeds the generation, so
-        any mutation retires every worker's warm shard state and every
-        cache keyed against the old corpus."""
+        """The batch-executor corpus token: the store's id and its
+        generation, so any mutation retires every worker's warm chunks
+        and every cache keyed against the old corpus."""
         return f"{self._identity}-g{self.generation}"
 
     def __repr__(self) -> str:
@@ -882,17 +893,16 @@ class CorpusStore:
         entry = self._manifest["segments"][segment_index]
         return position - local + entry["trees"]
 
-    def _shard_for(
-        self, start: int, stop: int
-    ) -> Tuple[str, int, int, int, Optional[Tuple[str, int]]]:
+    def _shard_for(self, start: int, stop: int) -> Shard:
         segment_index, local = self._locate(start)
         entry = self._manifest["segments"][segment_index]
-        return (
+        return Shard(
             os.path.join(self.path, entry["name"]),
             self.generation,
             local,
             local + (stop - start),
             self._sidecar_spec(segment_index),
+            self._identity,
         )
 
     def run(

@@ -43,7 +43,7 @@ from ..caching import KeyedLRU
 from ..trees.node import NodeId
 from ..trees.tree import Tree
 from ..trees.values import MaybeValue
-from .nodeset import apply_shift_groups, bit_count, iter_bits
+from .nodeset import apply_shift_groups, bit_count, iter_bits, pick_bits
 from .nodeset import shift_groups as _shift_groups
 
 __all__ = [
@@ -267,8 +267,7 @@ class TreeIndex:
 
     def to_nodes(self, bits: int) -> Tuple[NodeId, ...]:
         """The node addresses of a bitset, in document order."""
-        node_of = self.node_of
-        return tuple(node_of[i] for i in iter_bits(bits))
+        return pick_bits(self.node_of, bits)
 
     def __reduce__(self):
         # Every derived structure is a pure function of the tree, so
@@ -504,8 +503,7 @@ class PackedIndex:
 
     def to_nodes(self, bits: int) -> Tuple[NodeId, ...]:
         """The node addresses of a bitset, in document order."""
-        node_of = self._addresses()
-        return tuple(node_of[i] for i in iter_bits(bits))
+        return pick_bits(self._addresses(), bits)
 
     def __repr__(self) -> str:
         return f"PackedIndex({self.n} nodes, Σ={sorted(self.label_mask)})"

@@ -16,9 +16,16 @@ cache ever being told.  Invalidation is by construction, not by
 callback; a stale entry can never be *returned*, only evicted.
 
 Entries are whole response dicts (the dispatcher's JSON-ready payload).
-Hits are returned as shallow copies with ``"cached": True`` stamped on,
-so a client can tell a replay from a fresh evaluation; fault-injected
-requests bypass the cache entirely in both directions.
+Hits are returned with ``"cached": True`` stamped on, so a client can
+tell a replay from a fresh evaluation; fault-injected requests bypass
+the cache entirely in both directions.
+
+An entry never changes once stored, whatever its callers do with what
+they are handed.  The cache copies every dict and list of a response
+on the way in and on the way out, and shares everything else.  The
+result rows — the bulk of a response — are tuples of tuples of node
+addresses and bools, so they are shared, not copied: no caller can
+change them in place.
 """
 
 from __future__ import annotations
@@ -72,12 +79,12 @@ class ResultCache:
                 self._misses += 1
             else:
                 self._hits += 1
-        # Shallow copies on both sides of the cache: the caller's dict
-        # stays theirs to mutate, the stored one stays pristine.
-        return None if hit is None else dict(hit)
+        # Copies on both sides of the cache: the caller's response stays
+        # theirs to mutate, the stored one stays pristine.
+        return None if hit is None else _thawed(hit)
 
     def put(self, key: Tuple, response: dict) -> None:
-        self._lru.put(key, dict(response))
+        self._lru.put(key, _thawed(response))
 
     def info(self) -> Dict[str, int]:
         """Hit/miss/occupancy counters for the ``stats`` verb."""
@@ -95,3 +102,14 @@ class ResultCache:
         with self._lock:
             self._hits = 0
             self._misses = 0
+
+
+def _thawed(value):
+    """``value`` with every dict and list copied, everything else
+    (tuples, strings, numbers) shared — the mutable part of a response
+    is a few small dicts, its rows are immutable."""
+    if isinstance(value, dict):
+        return {key: _thawed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_thawed(item) for item in value]
+    return value

@@ -329,10 +329,11 @@ class Dispatcher:
             self._counters["cells_answered"] += (
                 result.tree_count * len(result.queries)
             )
+        # The rows go out as they are: tuples all the way down, which
+        # ``json.dumps`` writes as arrays, so the frame is the same as
+        # for lists, and a cached response cannot be changed in place.
         return ok_response(
-            results=[
-                [_jsonable(cell) for cell in row] for row in result.rows
-            ],
+            results=result.rows,
             trees=result.tree_count,
             chunks=[
                 {
@@ -422,16 +423,3 @@ def _int_option(options: dict, key: str, default):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad_request(f"option {key!r} must be a number")
     return int(value)
-
-
-def _jsonable(cell):
-    """One result cell as JSON: bools pass through, node tuples become
-    lists of lists, pair tuples become pairs of lists."""
-    if isinstance(cell, bool):
-        return cell
-    return [
-        [list(part) for part in item]
-        if item and isinstance(item[0], tuple)
-        else list(item)
-        for item in cell
-    ]

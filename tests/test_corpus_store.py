@@ -10,8 +10,10 @@ and the query path — serial, fanned-out, windowed, and after in-place
 """
 
 import copy
+import hashlib
 import json
 import os
+import shutil
 
 import hypothesis.strategies as st
 import pytest
@@ -219,6 +221,53 @@ def test_mutations_bump_the_generation_and_retire_the_token(tmp_path):
         store.replace(2, trees[0])
         assert store.token != token1
         assert store.statistics().fingerprint != print1
+
+
+@pytest.mark.parametrize("sidecars", ["on", "off"])
+def test_a_new_store_at_an_old_stores_path_shares_no_worker_state(
+    tmp_path, monkeypatch, sidecars
+):
+    """Delete a store that answered queries and create another at the
+    same path: the new one gets its own token, and its answers come
+    from its own trees, never from the lanes, shards, segments or warm
+    chunks this process kept for the old one."""
+    if sidecars == "off":
+        monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
+    root = str(tmp_path / "s")
+    queries = QUERIES[:4]  # every one has an IR plan: lanes when on
+    old, new = _trees(6, seed=30), _trees(6, seed=60)
+    expected = list(_naive_corpus_rows(new, queries))
+    assert expected != list(_naive_corpus_rows(old, queries))
+    with CorpusStore.create(root, segment_size=3) as store:
+        store.ingest(old)
+        for _ in range(3):  # long enough for every cache to keep it
+            store.run(queries)
+        old_token = store.token
+    shutil.rmtree(root)
+    with CorpusStore.create(root, segment_size=3) as store:
+        store.ingest(new)
+        result = store.run(queries)
+        assert list(result.rows) == expected
+        source = "lanes" if sidecars == "on" else "trees"
+        assert {c.source for c in result.chunks} == {source}
+        assert store.token != old_token
+
+
+def test_a_manifest_without_a_store_id_keeps_the_path_digest(tmp_path):
+    root = str(tmp_path / "s")
+    with CorpusStore.create(root) as store:
+        store.ingest(_trees(2))
+        fresh_token = store.token
+    manifest_path = os.path.join(root, "store.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    del manifest["id"]
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    digest = hashlib.sha1(os.path.abspath(root).encode("utf-8")).hexdigest()
+    with CorpusStore.open(root, readonly=True) as store:
+        assert store.token == f"store-{digest[:12]}-g{store.generation}"
+        assert store.token != fresh_token
 
 
 def test_crash_mid_ingest_is_recoverable(tmp_path):

@@ -7,7 +7,8 @@ primitives.  This battery pins them down with Hypothesis directly on
 random bit patterns and random partial injections, independently of any
 tree:
 
-* ``iter_bits``/``bit_count`` agree with the naive binary expansion;
+* ``iter_bits``/``bit_count``/``pick_bits`` agree with the naive binary
+  expansion;
 * a shift-decomposed move equals the naive per-edge image, and
   decomposition round-trips through application edge by edge;
 * interval masks are exactly the half-open id ranges they claim;
@@ -30,6 +31,7 @@ from repro.engine.nodeset import (
     iter_bits,
     lane_tiler,
     lane_width_for,
+    pick_bits,
     shift_groups,
     split_lanes,
     stack_masks,
@@ -49,11 +51,15 @@ def test_iter_bits_matches_binary_expansion(bits):
     assert list(iter_bits(bits)) == expected
     assert bit_count(bits) == len(expected)
     assert bit_count(bits) == bin(bits).count("1")
+    table = [(i,) for i in range(96)]
+    assert pick_bits(table, bits) == tuple(table[i] for i in expected)
 
 
 def test_iter_bits_ascending_is_document_order():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b1010011)) == [0, 1, 4, 6]
+    assert pick_bits("abcdefg", 0b1010011) == ("a", "b", "e", "g")
+    assert pick_bits("abc", 0) == ()
 
 
 # -- shift decomposition ------------------------------------------------------

@@ -6,10 +6,13 @@ exact query fingerprint, counts its own hits and misses (the wrapped
 ``maxsize=0`` stores nothing.  Dispatcher-level: replays are stamped
 ``cached`` with identical results; every store mutation — ``append``,
 ``replace``, ``recover``+``compact`` — moves the corpus token and so
-orphans all cached windows without any explicit invalidation;
+orphans all cached windows without any explicit invalidation; nothing
+a caller does to a response changes what later hits answer;
 fault-injected requests bypass the cache in both directions; the
 ``stats`` verb surfaces the counters.
 """
+
+import copy
 
 import pytest
 
@@ -108,6 +111,33 @@ def test_replay_is_cached_with_identical_results(tmp_path):
         assert replay["cached"] is True
         assert replay["results"] == first["results"]
         assert replay["trees"] == first["trees"]
+
+
+def test_what_callers_do_with_a_response_never_reaches_the_next_hit(
+    tmp_path,
+):
+    """The stored response and every hit are the caller's to mutate:
+    clearing a row (where rows allow it) or editing a chunk report
+    leaves the next hit answering exactly what the first request did."""
+    with _store(tmp_path) as store:
+        dispatcher = Dispatcher(store, workers=0, result_cache=8)
+        session = dispatcher.open_session()
+        request = _window_request(stop=8)
+        first = dispatcher.handle(request, session)
+        results, chunks = copy.deepcopy((first["results"], first["chunks"]))
+        assert any(results[0])  # tree 0 has answers to lose
+        first["chunks"][0]["steps"] = -1  # the response that was stored
+        second = dispatcher.handle(request, session)
+        assert second["cached"] is True
+        try:
+            second["results"][0].clear()
+        except AttributeError:
+            pass  # tuple rows cannot change in place
+        second["chunks"][0].clear()
+        third = dispatcher.handle(request, session)
+        assert third["cached"] is True
+        assert third["results"] == results
+        assert third["chunks"] == chunks
 
 
 def test_explicit_and_implicit_full_stop_share_an_entry(tmp_path):

@@ -17,6 +17,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.protocol import decode_payload, encode_frame, split_frame
 
 TERMS = ["σ(δ, σ(δ))", "δ(σ(δ), δ)", "σ(σ, σ(δ, δ))"]
 
@@ -42,6 +43,27 @@ def _expected_rows(corpus, queries):
     import json
 
     return json.loads(json.dumps(corpus.run(queries).rows))
+
+
+def _as_lists(cell):
+    """A result cell as responses carried it while rows went out as
+    lists: bools as they are, per-node lists, pairs of lists."""
+    if isinstance(cell, bool):
+        return cell
+    return [
+        [list(part) for part in item]
+        if item and isinstance(item[0], tuple)
+        else list(item)
+        for item in cell
+    ]
+
+
+def _received(response):
+    """``response`` as a client receives it: through one wire frame.
+    In-process, ``handle`` returns result rows as tuples."""
+    body, rest = split_frame(encode_frame(response))
+    assert rest == b""
+    return decode_payload(body)
 
 
 class TestDispatcher:
@@ -73,10 +95,71 @@ class TestDispatcher:
             session,
         )
         assert response["ok"] is True
-        assert response["results"] == _expected_rows(corpus, queries)
+        assert _received(response)["results"] == _expected_rows(
+            corpus, queries
+        )
         assert response["trees"] == len(TERMS)
         assert response["degraded_chunks"] == 0
         assert all(chunk["steps"] > 0 for chunk in response["chunks"])
+
+    @pytest.mark.parametrize("source", ["trees", "store-lanes", "store-trees"])
+    def test_tuple_rows_make_the_frame_per_node_lists_made(
+        self, tmp_path, source
+    ):
+        """Rows go out as the executor made them, tuples all the way
+        down; each frame is byte for byte the one a response holding
+        per-node lists encodes to, for every query kind."""
+        from repro.corpus import (
+            ask_query,
+            caterpillar_query,
+            caterpillar_relation_query,
+            select_query,
+        )
+        from repro.trees.generators import random_tree
+
+        queries = [
+            xpath_query("//δ"),
+            ask_query("exists x O_σ(x)"),
+            select_query("x << y & O_δ(y)"),
+            caterpillar_query("(down | right)* <δ>"),
+            caterpillar_relation_query("down <σ>"),
+        ]
+        if source == "store-lanes":  # the relation kind has no IR plan
+            queries = queries[:4]
+        trees = [
+            random_tree(4 + i % 9, value_pool=(1, 2), max_children=3, seed=i)
+            for i in range(12)
+        ]
+        if source == "trees":
+            served = TreeCorpus(trees)
+        else:
+            served = CorpusStore.create(str(tmp_path / "s"), segment_size=8)
+            served.ingest(iter(trees))
+        with served:
+            dispatcher = Dispatcher(served)
+            response = dispatcher.handle(
+                {
+                    "op": "query",
+                    "queries": [
+                        {"kind": q.kind, "text": q.text} for q in queries
+                    ],
+                },
+                dispatcher.open_session(),
+            )
+        assert response["ok"] is True
+        assert {c["source"] for c in response["chunks"]} == {
+            "lanes" if source == "store-lanes" else "trees"
+        }
+        assert isinstance(response["results"], tuple)
+        assert all(any(column) for column in zip(*response["results"]))
+        listed = dict(
+            response,
+            results=[
+                [_as_lists(cell) for cell in row]
+                for row in response["results"]
+            ],
+        )
+        assert encode_frame(response) == encode_frame(listed)
 
     def test_window_bounds_select_a_sub_range(self, corpus, dispatcher):
         session = dispatcher.open_session()
@@ -89,7 +172,7 @@ class TestDispatcher:
             session,
         )
         expected = _expected_rows(corpus, [xpath_query("//δ")])
-        assert response["results"] == expected[1:3]
+        assert _received(response)["results"] == expected[1:3]
 
     def test_parse_error_is_structured_and_isolated(self, dispatcher):
         session = dispatcher.open_session()
@@ -333,7 +416,7 @@ class TestStoreBacked:
                 session,
             )
             assert response["ok"] is True
-            assert response["results"] == _expected_rows(
+            assert _received(response)["results"] == _expected_rows(
                 writer, [xpath_query("//δ")]
             )
         finally:

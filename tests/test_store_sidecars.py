@@ -330,6 +330,15 @@ def test_sidecars_env_kill_switch_disables_the_packed_path(
         assert not os.path.exists(side_file)  # disabled: no rebuild either
 
 
+def _downgrade(path):
+    """Stamp every sidecar of the store at ``path`` format version 1."""
+    for name in os.listdir(path):
+        if name.endswith(".rpridx"):
+            with open(os.path.join(path, name), "r+b") as handle:
+                handle.seek(8)  # the header's u32 format version
+                handle.write(struct.pack("<I", 1))
+
+
 @pytest.mark.parametrize("readonly", [True, False])
 def test_format_1_sidecars_answer_like_the_naive_loop(tmp_path, readonly):
     """Sidecars of an older format fail the version check: a readonly
@@ -346,10 +355,7 @@ def test_format_1_sidecars_answer_like_the_naive_loop(tmp_path, readonly):
             if name.endswith(".rpridx")
         }
 
-    for name in sidecar_versions():
-        with open(os.path.join(path, name), "r+b") as handle:
-            handle.seek(8)  # the header's u32 format version
-            handle.write(struct.pack("<I", 1))
+    _downgrade(path)
     assert set(sidecar_versions().values()) == {1}
     before = {name: Path(path, name).read_bytes() for name in os.listdir(path)}
     with CorpusStore.open(path, readonly=readonly) as store:
@@ -570,6 +576,150 @@ def test_tree_path_chunks_keep_a_bounded_warm_map(tmp_path, monkeypatch):
         assert max(sizes) == sizes[-1] == executor._WARM_CHUNKS
     finally:
         executor._WORKER_CHUNKS.clear()
+
+
+def test_reference_chunks_build_no_index_and_fast_ones_build_them_later(
+    tmp_path, monkeypatch, loads
+):
+    """The reference evaluators read no index, so chunks that run on
+    them warm their trees without building any; a later engine that
+    reads indexes builds them on those warm trees."""
+    monkeypatch.setenv("REPRO_STORE_SIDECARS", "0")
+    path = str(tmp_path / "s")
+    trees = _trees(12, seed=12)
+    expected = _naive_corpus_rows(trees, PACKED_QUERIES)
+    with CorpusStore.create(path, segment_size=12) as store:
+        store.ingest(iter(trees))
+        loads.update(trees=0, builds=0)
+        reference = store.run(PACKED_QUERIES, engine="reference", chunk_size=3)
+        assert reference.rows == expected
+        assert loads["trees"] > 0 and loads["builds"] == 0
+        loads.update(trees=0)
+        fast = store.run(PACKED_QUERIES, engine="fast", chunk_size=3)
+        assert fast.rows == expected
+        assert {c.source for c in fast.chunks} == {"trees"}
+        assert loads == {"trees": 0, "builds": 12}  # warm trees, new indexes
+
+
+# ---------------------------------------------------------------------------
+# kept stacked shards
+# ---------------------------------------------------------------------------
+
+
+def _clear_worker_state():
+    executor._WORKER_SIDECARS.cache_clear()
+    executor._WORKER_SEGMENTS.cache_clear()
+    executor._WORKER_SHARDS.cache_clear()
+    executor._ASKED_ONCE.cache_clear()
+    executor._WORKER_CHUNKS.clear()
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """One entry per shard the executor stacks from here on, with every
+    worker-side warm cache emptied first."""
+    stacked = []
+    real = executor.StackedShard
+
+    def counting(indexes):
+        stacked.append(len(indexes))
+        return real(indexes)
+
+    _clear_worker_state()
+    monkeypatch.setattr(executor, "StackedShard", counting)
+    yield stacked
+    _clear_worker_state()
+
+
+def _kept_windows():
+    """``(sidecar file, lo, hi)`` of every kept shard, oldest first."""
+    return [
+        (os.path.basename(path), lo, hi)
+        for _, path, _, lo, hi in executor._WORKER_SHARDS
+    ]
+
+
+def test_a_window_is_stacked_on_its_first_two_requests_only(tmp_path, stacks):
+    path = str(tmp_path / "s")
+    trees = _trees(24, seed=8)
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(trees))
+    expected = list(_naive_corpus_rows(trees, PACKED_QUERIES))
+    with CorpusStore.open(path, readonly=True) as store:
+
+        def ask(start, stop):
+            before = len(stacks)
+            result = store.run(
+                PACKED_QUERIES, start=start, stop=stop, chunk_size=8,
+                budget_steps=10**9,
+            )
+            assert list(result.rows) == expected[start:stop]
+            assert {c.source for c in result.chunks} == {"lanes"}
+            return len(stacks) - before, [c.steps for c in result.chunks]
+
+        asked = [ask(0, 8) for _ in range(5)]
+        assert [count for count, _ in asked] == [1, 1, 0, 0, 0]
+        # A kept shard spends what a fresh one does: the quota
+        # accounting does not see the cache.
+        assert len({tuple(steps) for _, steps in asked}) == 1
+        first = ("seg-00000.rpridx", 0, 8)
+        assert _kept_windows() == [first]
+        assert ask(9, 13)[0] == 1  # asked once: stacked, not kept
+        assert ask(16, 24)[0] == 1
+        assert _kept_windows() == [first]
+        assert ask(16, 24)[0] == 1  # the second request keeps it
+        assert _kept_windows() == [first, ("seg-00002.rpridx", 0, 8)]
+        assert ask(16, 24)[0] == 0
+
+
+def _tear(path):
+    """Cut ``path`` to half its bytes.  The cut copy replaces the file
+    by rename, so a mapping of the old file stays whole."""
+    data = Path(path).read_bytes()
+    aside = path + ".torn"
+    Path(aside).write_bytes(data[: len(data) // 2])
+    os.replace(aside, path)
+
+
+@pytest.mark.parametrize(
+    "change", ["replace", "compact", "torn", "format-1"]
+)
+def test_kept_shards_never_answer_for_changed_bytes(tmp_path, stacks, change):
+    """Every window's shard is kept, then the bytes under some of them
+    change; the next run of every window answers like the naive loop
+    over the store's trees as they are now."""
+    if change == "compact":
+        store = _fragmented_store(tmp_path)
+    else:
+        store = CorpusStore.create(str(tmp_path / "s"), segment_size=8)
+        store.ingest(iter(_trees(21, seed=3)))
+    path = store.path
+    with store:
+        before = _expected(store)
+        for _ in range(3):
+            assert store.run(PACKED_QUERIES).rows == before
+        assert executor._WORKER_SHARDS
+        if change == "replace":
+            store.replace(2, random_tree(1, value_pool=(1,), seed=1))
+        elif change == "compact":
+            assert store.compact() > 0
+        expected = _expected(store)
+        if change == "replace":
+            assert expected != before
+        result = store.run(PACKED_QUERIES)
+        assert result.rows == expected
+        assert {c.source for c in result.chunks} == {"lanes"}
+    if change in ("torn", "format-1"):
+        if change == "torn":
+            _tear(sidecar_path(os.path.join(path, "seg-00001.seg")))
+        else:
+            _downgrade(path)
+        for readonly in (True, False):  # answered from trees, then rebuilt
+            with CorpusStore.open(path, readonly=readonly) as store:
+                result = store.run(PACKED_QUERIES)
+                assert result.rows == _expected(store)
+                if not readonly:
+                    assert {c.source for c in result.chunks} == {"lanes"}
 
 
 # ---------------------------------------------------------------------------

@@ -321,3 +321,77 @@ class TestShardLoadsPastTheCacheBound:
     def test_sidecar_lanes_never_see_a_closed_mapping(self, shards):
         assert all(shard[4] is not None for shard in shards)
         self._load_everything(executor._shard_lanes, shards)
+
+
+class TestSharedShards:
+    def test_threads_sharing_kept_shards_answer_like_the_per_tree_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """Four dispatch threads ask lane-served windows of one store
+        over and over, more distinct windows than the shard map holds:
+        kept shards are shared, evicted and kept again under the
+        threads' feet, and every answer still equals the per-tree loop
+        while the map stays within its bound."""
+        from repro.bench import _naive_corpus_rows
+        from repro.corpus import ask_query, select_query, xpath_query
+        from repro.trees.generators import random_tree
+
+        queries = (
+            xpath_query("//σ//δ"),
+            ask_query("exists x O_σ(x)"),
+            select_query("x << y & O_δ(y)"),
+        )
+        trees = [
+            random_tree(3 + i % 11, value_pool=(1, 2), max_children=3, seed=i)
+            for i in range(96)
+        ]
+        expected = list(_naive_corpus_rows(trees, queries))
+        bound = executor._WARM_CHUNKS
+        windows = [
+            (lo, lo + width)
+            for lo in range(0, 96 - 4, 4)
+            for width in (1, 2, 3, 4)
+        ][: bound + bound // 4]
+        stacked = []
+        real = executor.StackedShard
+
+        def counting(indexes):
+            stacked.append(1)
+            return real(indexes)
+
+        monkeypatch.setattr(executor, "StackedShard", counting)
+        for cache in (executor._WORKER_SHARDS, executor._ASKED_ONCE):
+            cache.cache_clear()
+        runs, sizes = [], []
+        with CorpusStore.create(str(tmp_path / "s"), segment_size=32) as store:
+            store.ingest(trees)
+            deadline = time.monotonic() + 1.5
+
+            def hammer(worker_id):
+                # Each thread walks the windows from its own offset, so
+                # the threads keep meeting on windows the others keep
+                # or evict.
+                turn = worker_id * len(windows) // 4
+                while time.monotonic() < deadline:
+                    start, stop = windows[turn % len(windows)]
+                    turn += 1
+                    result = store.run(
+                        queries, start=start, stop=stop,
+                        chunk_size=stop - start,
+                    )
+                    assert list(result.rows) == expected[start:stop]
+                    assert [c.source for c in result.chunks] == ["lanes"]
+                    runs.append(1)
+                    sizes.append(len(executor._WORKER_SHARDS))
+
+            saved = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _run_threads(hammer, count=4)
+            finally:
+                sys.setswitchinterval(saved)
+                for cache in (executor._WORKER_SHARDS, executor._ASKED_ONCE):
+                    cache.cache_clear()
+        assert len(runs) > 2 * len(windows)  # every window came back
+        assert 0 < len(stacked) < len(runs)  # and kept shards answered
+        assert max(sizes) <= bound
