@@ -734,7 +734,6 @@ def run_batch(
     route: int = 0,
     worker_retries: int = 0,
     retry_backoff: float = 0.05,
-    replace_pool=None,
 ) -> BatchResult:
     """Evaluate every query against every tree, set-at-a-time.
 
@@ -787,11 +786,10 @@ def run_batch(
     spreading single-chunk batches over shared routed pools does not
     pile every query on pool 0.  ``worker_retries`` resubmits a chunk
     whose worker *process* died up to that many times, with exponential
-    ``retry_backoff`` sleeps, on a fresh single-worker pool obtained
-    from ``replace_pool(slot)`` (the :class:`WorkerPools`'s own heal
-    when ``pool`` is one; else a throwaway pool); only after the
-    attempts are spent does the chunk degrade to an in-parent reference
-    run, as before.
+    ``retry_backoff`` sleeps, on a fresh single-worker pool: the
+    :class:`WorkerPools`'s healed slot when ``pool`` is one, else a
+    throwaway pool; only after the attempts are spent does the chunk
+    degrade to an in-parent reference run, as before.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -859,6 +857,7 @@ def run_batch(
         answers = [_run_chunk(task) for task in tasks]
         return _batch_result(queries, answers, workers, plans)
     owned = None
+    replace_pool = None
     if isinstance(pool, WorkerPools):
         replace_pool = partial(pool.heal, workers)
         pool = pool.routed(workers)

@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import secrets
-from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.index import (
@@ -87,13 +86,6 @@ FORMAT_VERSION = 1
 #: and a shard load stay cheap, big enough that a 100k-tree store is a
 #: few dozen files, not thousands.
 DEFAULT_SEGMENT_SIZE = 2048
-
-#: How many segments' trees the store keeps materialized for point
-#: reads (:meth:`CorpusStore.tree`).  Batches never use it — serial
-#: and fanned-out runs alike load shards through the executor's warm
-#: state — so it bounds point-read memory at roughly
-#: ``_LOADED_SEGMENTS * segment_size`` trees however big the store is.
-_LOADED_SEGMENTS = 8
 
 
 def _segment_name(segment_id: int) -> str:
@@ -203,7 +195,6 @@ class CorpusStore:
         self.path = path
         self._manifest = manifest
         self._segments: Dict[int, Segment] = {}       # seg index -> reader
-        self._loaded: "OrderedDict[int, Tuple[Tree, ...]]" = OrderedDict()
         self._stats: Optional[CorpusStatistics] = None
         self._stats_generation = -1
         self._use_sidecars = True
@@ -310,12 +301,10 @@ class CorpusStore:
             )
 
     def close(self) -> None:
-        """Release mmaps, loaded trees, worker pools and the writer
-        lock."""
+        """Release mmaps, worker pools and the writer lock."""
         for segment in self._segments.values():
             segment.close()
         self._segments.clear()
-        self._loaded.clear()
         self.pools.close()
         _release_writer_lock(self._lock_path)
         self._lock_path = None
@@ -526,10 +515,9 @@ class CorpusStore:
 
         With ``site`` (the root node of the edited subtree, as produced
         by :meth:`Tree.replace_subtree`), the old tree — the one record
-        unpickled, unless the point-read LRU holds its segment — has
-        its cached index spliced into the new tree's through
-        :func:`~repro.engine.index.repair_index` instead of being
-        rebuilt — the incremental path the ``store`` bench gates at
+        unpickled — has its cached index spliced into the new tree's
+        through :func:`~repro.engine.index.repair_index` instead of
+        being rebuilt — the incremental path the ``store`` bench gates at
         ≥5x a fresh build.  Either way the store generation bumps, so
         stale worker caches and plans can never answer for the old
         corpus."""
@@ -537,11 +525,8 @@ class CorpusStore:
         segment_index, local = self._locate(position)
         entry = self._manifest["segments"][segment_index]
         segment = self._segment(segment_index)
-        loaded = self._loaded.get(segment_index)
         if site is not None:
-            old_tree = (
-                loaded[local] if loaded is not None else segment.tree(local)
-            )
+            old_tree = segment.tree(local)
             repaired = repair_index(index_for(old_tree), tree, site)
             adopt_index(tree, repaired)
         segment_path = os.path.join(self.path, entry["name"])
@@ -578,13 +563,6 @@ class CorpusStore:
             entry["id"], footer, True,
             sidecar_gen=next_gen if self._use_sidecars else None,
         )
-        # A segment materialized for point reads stays so, patched
-        # with the new tree (whose index the repair just adopted); one
-        # that was not is left for the next read to load.
-        if loaded is not None:
-            self._loaded[segment_index] = (
-                loaded[:local] + (tree,) + loaded[local + 1:]
-            )
         try:
             if blobs is not None:
                 blobs[local] = serialize_index(index_for(tree))
@@ -620,20 +598,6 @@ class CorpusStore:
         segment = self._segments.pop(segment_index, None)
         if segment is not None:
             segment.close()
-        self._loaded.pop(segment_index, None)
-
-    def _load_segment(self, segment_index: int) -> Tuple[Tree, ...]:
-        """This segment's trees, via a bounded LRU of materialized
-        segments — the warm state of point reads (:meth:`tree`)."""
-        cached = self._loaded.get(segment_index)
-        if cached is not None:
-            self._loaded.move_to_end(segment_index)
-            return cached
-        trees = self._segment(segment_index).trees()
-        self._loaded[segment_index] = trees
-        while len(self._loaded) > _LOADED_SEGMENTS:
-            self._loaded.popitem(last=False)
-        return trees
 
     # -- index sidecars -----------------------------------------------
 
@@ -715,9 +679,9 @@ class CorpusStore:
         return spec
 
     def tree(self, position: int) -> Tree:
-        """The tree at ``position`` (loads its segment, LRU-cached)."""
+        """The tree at ``position``: unpickles its one record."""
         segment_index, local = self._locate(position)
-        return self._load_segment(segment_index)[local]
+        return self._segment(segment_index).tree(local)
 
     def trees(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Tree]:
         """Iterate trees ``[start, stop)`` without holding extra

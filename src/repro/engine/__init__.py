@@ -1,19 +1,25 @@
 """The indexed, set-at-a-time query engine.
 
 Fast counterparts of the reference evaluators, built on one compiled
-:class:`~repro.engine.index.TreeIndex` per document:
+:class:`~repro.engine.index.TreeIndex` per document.  Each dialect has
+one fast evaluator wherever the plan IR can express it:
 
 * :mod:`repro.engine.index` — dense preorder ids, interval labels
   (O(1) ``descendant``), navigation arrays and inverted indexes, with
   node sets as Python-int bitsets;
-* :mod:`repro.engine.fo` — bottom-up relational FO evaluation
-  (join/project/co-project over satisfying-assignment relations, with
-  on-the-fly miniscoping);
-* :mod:`repro.engine.xpath` — bitset/interval XPath evaluation with
-  subtree-range descendant steps;
-* :mod:`repro.engine.walk` — compiled caterpillar expressions
-  evaluated as frontier-bitset reachability in the (state × node)
-  product over the index's move graphs;
+* :mod:`repro.engine.ir` — the plan IR every dialect lowers into: a
+  register program of node-set ops, anchored at the context node for
+  one tree or at the root for a stacked shard of many;
+* :mod:`repro.engine.xpath` — XPath selection: the IR from any
+  context node (the lowering is total);
+* :mod:`repro.engine.fo` — FO sentences and FO(∃*) selectors that
+  lower run on the IR; the rest (value atoms, cyclic quantifier
+  patterns) on bottom-up relational evaluation (join/project/
+  co-project over satisfying-assignment relations, with on-the-fly
+  miniscoping);
+* :mod:`repro.engine.walk` — compiled caterpillar expressions: a walk
+  from a node is the IR's ``Closure`` op, the full relation one
+  stacked frontier-bitset sweep over every start node;
 * :mod:`repro.engine.stats` — tree/corpus statistics with content
   fingerprints, plus wander-join-sampled join cardinality estimates;
 * :mod:`repro.engine.planner` — the cost-based adaptive planner behind

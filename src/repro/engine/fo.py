@@ -1,5 +1,12 @@
 """Bottom-up, set-at-a-time FO evaluation over a :class:`TreeIndex`.
 
+A sentence or FO(∃*) selector the plan IR can express runs there
+(:func:`repro.engine.ir.lower_sentence` / ``lower_select``, anchored at
+the context node), from any context; this module's relational engine
+answers the rest — value atoms, and quantifiers that link two
+variables through more than one atom — plus every formula evaluated
+under an explicit assignment.
+
 The reference model checker (:mod:`repro.logic.tree_fo`) evaluates a
 formula once per assignment: a quantifier block of k variables costs
 n^k full recursive evaluations.  This engine instead compiles each
@@ -59,11 +66,11 @@ from ..logic.tree_fo import (
     ValEq,
     free_variables,
 )
-from ..caching import KeyedLRU
 from ..resilience.budget import current_context
 from ..trees.node import NodeId
 from ..trees.tree import Tree
 from .index import TreeIndex, bit_count, index_for, iter_bits
+from .ir import evaluate_tree, lower_select, lower_sentence, tree_plan
 
 __all__ = ["evaluate", "satisfying_assignments", "select", "relation_of"]
 
@@ -565,31 +572,6 @@ def relation_of(
     )
 
 
-#: Lowered IR plans keyed by formula object identity (entries pin the
-#: formula, so an id can never be recycled while its entry is live).
-#: ``None`` is cached too: a formula outside the IR fragment — value
-#: atoms, unsupported quantifier shapes — is probed exactly once.
-_IR_PLAN_CACHE: KeyedLRU = KeyedLRU(256, name="fo-ir-plans")
-
-
-def _ir_plan(tag, formula, kind, x=None, y=None):
-    """The formula's root-context IR plan (or ``None``), cached by
-    identity: the facade hands the same parsed formula object to every
-    call, so lowering happens once per (formula, selector) pairing."""
-    key = tag + (id(formula),)
-    hit = _IR_PLAN_CACHE.get(key)
-    if hit is not None and hit[0] is formula:
-        return hit[1]
-    from .ir import lower_select, lower_sentence
-
-    if kind == "sentence":
-        plan = lower_sentence(formula)
-    else:
-        plan = lower_select(formula, x, y)
-    _IR_PLAN_CACHE.put(key, (formula, plan))
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Public API — drop-in counterparts of the reference evaluator
 # ---------------------------------------------------------------------------
@@ -609,10 +591,8 @@ def evaluate(
         )
     idx = index_for(tree)
     if not free_variables(formula):
-        plan = _ir_plan(("sentence",), formula, "sentence")
+        plan = tree_plan(formula, "ask", lambda: lower_sentence(formula))
         if plan is not None:
-            from .ir import evaluate_tree
-
             return bool(evaluate_tree(plan, idx))
     rel = _Compiler(idx).rel(formula)
     if not rel.vars:
@@ -659,9 +639,19 @@ def select(
     *any* FO selector φ(x, y), not just the FO(∃*) fragment.
 
     Same conventions: free variables must be within {x, y}; a selector
-    not mentioning y returns every node or none.
+    not mentioning y returns every node or none.  A selector the plan
+    IR can express runs there from any context node; only the rest
+    (value atoms, quantifiers linking two variables through more than
+    one atom, shadowing) builds relations.
     """
     tree.require(context)
+    idx = index_for(tree)
+    plan = tree_plan(
+        formula, ("select", x.name, y.name),
+        lambda: lower_select(formula, x, y, anchor="context"),
+    )
+    if plan is not None:
+        return idx.to_nodes(evaluate_tree(plan, idx, idx.id_of[context]))
     free = free_variables(formula)
     extra = free - {x, y}
     if extra:
@@ -669,13 +659,6 @@ def select(
             f"selector may only use {x.name!r} and {y.name!r} free; "
             f"also found {sorted(v.name for v in extra)}"
         )
-    idx = index_for(tree)
-    if idx.id_of[context] == 0:
-        plan = _ir_plan(("select", x.name, y.name), formula, "select", x, y)
-        if plan is not None:
-            from .ir import evaluate_tree
-
-            return idx.to_nodes(evaluate_tree(plan, idx))
     rel = _Compiler(idx).rel(formula)
     if y in free:
         if x in free:

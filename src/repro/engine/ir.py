@@ -8,7 +8,8 @@ ops —
 
 ========================  ==================================================
 ``LabelScan(σ)``          the inverted-index bitset of σ-labelled nodes
-``ConstScan(kind)``       all/none/root/leaf/first/last structural masks
+``ConstScan(kind)``       all/none/root/leaf/first/last structural masks,
+                          or the context node a per-tree plan starts from
 ``Shift(r, d)``           one walking move (up/down/left/right), set-at-a-time
 ``Children(r)``           all children of the set in ``r``
 ``Descendants(r)``        all proper descendants of the set in ``r``
@@ -25,7 +26,8 @@ ops —
 — plus two interpreters over the node-set kernel
 (:mod:`repro.engine.nodeset`):
 
-* :func:`evaluate_tree` binds a plan to one :class:`TreeIndex`;
+* :func:`evaluate_tree` binds a plan to one :class:`TreeIndex` and a
+  context node;
 * :func:`evaluate_shard` binds the *same* plan to a
   :class:`StackedShard` — every tree of a corpus chunk packed into its
   own power-of-two lane of one wide integer — so one pass over the op
@@ -35,11 +37,22 @@ ops —
   ``down · (down | right)*``, and every child in ``down · right*``),
   and every mask/shift/join acts on all lanes simultaneously.
 
+Every lowering takes an *anchor*, the op that stands for the query's
+context node.  A corpus plan is anchored at ``ConstScan("root")``,
+the corpus contract, and a stacked shard evaluates only those.  The
+per-tree evaluators (:func:`repro.engine.xpath.select`,
+:func:`repro.engine.fo.select`, :func:`repro.engine.walk.walk`) lower
+with ``anchor="context"`` and run one plan from any node: as in a
+tree-walking automaton, a query from a context node is the same
+program started elsewhere.  :func:`tree_plan` caches those plans by the
+parsed query's identity.
+
 Lowering is *partial*: :func:`lower_query` returns ``None`` for
 constructs outside the IR (value atoms, quantifiers linking two
 variables through more than one binary atom, shadowed selector
 variables), and callers fall back to the dialect's own evaluator — the
-fallback path the differential oracle keeps honest.
+fallback path the differential oracle keeps honest.  XPath and
+caterpillar lowering is total.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..caching import KeyedLRU
 from ..caterpillar.ast import IS_FIRST, IS_LAST, IS_LEAF, IS_ROOT
 from ..logic import tree_fo as F
 from ..resilience.budget import current_context
@@ -61,6 +75,7 @@ from ..xpath.ast import (
 from .index import TreeIndex
 from .nodeset import (
     apply_shift_groups,
+    bind_closure,
     broadcast_lanes,
     lane_width_for,
     reach,
@@ -85,6 +100,8 @@ __all__ = [
     "StackedShard",
     "evaluate_tree",
     "evaluate_shard",
+    "tree_plan",
+    "tree_plan_clear",
     "lower_xpath",
     "lower_sentence",
     "lower_select",
@@ -107,7 +124,8 @@ class LabelScan:
 
 @dataclass(frozen=True)
 class ConstScan:
-    """A structural mask: all, none, root, leaf, first or last."""
+    """A structural mask: all, none, root, leaf, first or last — or
+    ``context``, the node :func:`evaluate_tree` is given."""
 
     kind: str
 
@@ -211,39 +229,31 @@ _TEST_PREDICATES = (
 )
 
 
-def _bind_closure(op: Closure, move_groups, test_masks, labelled):
-    """Resolve a ``Closure`` op's compiled atoms against one algebra:
-    tests/labels become masks, moves become shift groups — the same
-    binding :class:`~repro.engine.walk.WalkEvaluator` performs."""
-    bound = []
-    for state, state_edges in enumerate(op.edges):
-        selfs = []
-        outs = []
-        for (kind, payload), targets in state_edges:
-            if kind == "move":
-                applier = (move_groups[payload], 0)
-            elif kind == "test":
-                applier = (None, test_masks[payload])
-            else:  # label test
-                applier = (None, labelled(payload))
-            if state in targets:
-                selfs.append(applier)
-            rest = tuple(t for t in targets if t != state)
-            if rest:
-                outs.append((applier[0], applier[1], rest))
-        bound.append((tuple(selfs), tuple(outs)))
-    return tuple(bound)
+def _closure_answer(op: Closure, bound, init: int, context) -> int:
+    """Saturate a bound ``Closure`` from ``init``; the nodes reached in
+    an accepting state."""
+    reached = reach(bound, len(op.edges), op.start, init, context)
+    out = 0
+    for state in op.accepting:
+        out |= reached[state]
+    return out
+
+
+#: Bound ``Closure`` tables of per-tree plans, keyed by (op, index)
+#: identity; entries pin both, so neither id can be recycled while its
+#: entry is live.  A walk asked again of the same tree skips rebinding.
+_TREE_CLOSURES: KeyedLRU = KeyedLRU(128, name="tree-closures")
 
 
 class _TreeAlgebra:
-    """One plan bound to one tree's index."""
+    """One plan bound to one tree's index and one context node."""
 
-    __slots__ = ("index", "move_groups", "_tests")
+    __slots__ = ("index", "move_groups", "context")
 
-    def __init__(self, index: TreeIndex) -> None:
+    def __init__(self, index: TreeIndex, context_id: int) -> None:
         self.index = index
         self.move_groups = index.move_groups
-        self._tests = None
+        self.context = 1 << context_id
 
     def labelled(self, name: str) -> int:
         return self.index.labelled(name)
@@ -254,6 +264,8 @@ class _TreeAlgebra:
             return index.all_mask
         if kind == "none":
             return 0
+        if kind == "context":
+            return self.context
         if kind == "root":
             return index.root_mask
         if kind == "leaf":
@@ -283,18 +295,21 @@ class _TreeAlgebra:
         return self.index.all_mask if bits else 0
 
     def closure(self, op: Closure, init: int, context) -> int:
-        if self._tests is None:
-            index = self.index
-            self._tests = {
+        index = self.index
+        key = (id(op), id(index))
+        hit = _TREE_CLOSURES.get(key)
+        if hit is not None and hit[0] is op and hit[1] is index:
+            bound = hit[2]
+        else:
+            tests = {
                 predicate: getattr(index, f"{kind}_mask")
                 for predicate, kind in _TEST_PREDICATES
             }
-        bound = _bind_closure(op, self.move_groups, self._tests, self.labelled)
-        reached = reach(bound, len(op.edges), op.start, init, context)
-        out = 0
-        for state in op.accepting:
-            out |= reached[state]
-        return out
+            bound = bind_closure(
+                op.edges, self.move_groups, tests, index.labelled
+            )
+            _TREE_CLOSURES.put(key, (op, index, bound))
+        return _closure_answer(op, bound, init, context)
 
 
 class StackedShard:
@@ -368,7 +383,7 @@ class StackedShard:
 
 
 class _ShardAlgebra:
-    """One plan bound to a whole shard's stacked lanes."""
+    """One root-anchored plan bound to a whole shard's stacked lanes."""
 
     __slots__ = ("shard", "_tests")
 
@@ -427,14 +442,10 @@ class _ShardAlgebra:
                 predicate: consts[kind]
                 for predicate, kind in _TEST_PREDICATES
             }
-        bound = _bind_closure(
-            op, self.shard.move_groups, self._tests, self.labelled
+        bound = bind_closure(
+            op.edges, self.shard.move_groups, self._tests, self.labelled
         )
-        reached = reach(bound, len(op.edges), op.start, init, context)
-        out = 0
-        for state in op.accepting:
-            out |= reached[state]
-        return out
+        return _closure_answer(op, bound, init, context)
 
 
 def _saturate(groups_list, seed: int, context) -> int:
@@ -456,48 +467,53 @@ def _saturate(groups_list, seed: int, context) -> int:
 
 def _run(plan: Plan, algebra) -> int:
     context = current_context()
-    regs: List[int] = [0] * len(plan.ops)
-    for position, op in enumerate(plan.ops):
+    regs: List[int] = []
+    append = regs.append
+    for op in plan.ops:
         if context is not None:
             context.checkpoint()
+        # Ops are tested in the order lowering emits them most often.
         kind = type(op)
-        if kind is LabelScan:
+        if kind is Join:
+            srcs = op.srcs
+            value = regs[srcs[0]]
+            for src in srcs[1:]:
+                value &= regs[src]
+                if not value:
+                    break
+        elif kind is LabelScan:
             value = algebra.labelled(op.name)
         elif kind is ConstScan:
             value = algebra.const(op.kind)
-        elif kind is Shift:
-            value = algebra.move(op.direction, regs[op.src])
-        elif kind is Children:
-            value = algebra.children(regs[op.src], context)
         elif kind is Descendants:
             value = algebra.descendants(regs[op.src], context)
+        elif kind is Children:
+            value = algebra.children(regs[op.src], context)
+        elif kind is Shift:
+            value = algebra.move(op.direction, regs[op.src])
         elif kind is ClosurePlus:
             value = algebra.plus(op.direction, regs[op.src], context)
         elif kind is Union:
             value = 0
             for src in op.srcs:
                 value |= regs[src]
-        elif kind is Join:
-            value = regs[op.srcs[0]]
-            for src in op.srcs[1:]:
-                value &= regs[src]
-                if not value:
-                    break
         elif kind is Complement:
             value = algebra.complement(regs[op.src])
-        elif kind is Closure:
-            value = algebra.closure(op, regs[op.src], context)
         elif kind is AnyLane:
             value = algebra.any_lane(regs[op.src])
+        elif kind is Closure:
+            value = algebra.closure(op, regs[op.src], context)
         else:  # pragma: no cover - op set is closed
             raise TypeError(f"unknown IR op {op!r}")
-        regs[position] = value
+        append(value)
     return regs[plan.result]
 
 
-def evaluate_tree(plan: Plan, index: TreeIndex) -> int:
-    """Run ``plan`` over one tree; returns the result-register bitset."""
-    return _run(plan, _TreeAlgebra(index))
+def evaluate_tree(plan: Plan, index: TreeIndex, context_id: int = 0) -> int:
+    """Run ``plan`` over one tree from the node with preorder id
+    ``context_id`` (the root by default); returns the result-register
+    bitset."""
+    return _run(plan, _TreeAlgebra(index, context_id))
 
 
 def evaluate_shard(plan: Plan, shard: StackedShard) -> int:
@@ -560,7 +576,7 @@ class _StatView:
                 return n
             if op.kind == "none":
                 return 0.0
-            if op.kind == "root":
+            if op.kind in ("root", "context"):
                 return 1.0
             if op.kind == "leaf":
                 return min(n, self.leaves)
@@ -593,15 +609,22 @@ class _StatView:
 
 class _Builder:
     """Emit ops with common-subexpression elimination and a running
-    per-register cardinality estimate (used to order ``Join``)."""
+    per-register cardinality estimate (used to order ``Join``).
+    ``anchor`` is the ``ConstScan`` kind that stands for the context
+    node: ``"root"`` or ``"context"``."""
 
-    __slots__ = ("ops", "est", "view", "_memo")
+    __slots__ = ("ops", "est", "view", "anchor", "_memo")
 
-    def __init__(self, stats=None) -> None:
+    def __init__(self, stats=None, anchor: str = "root") -> None:
         self.ops: List = []
         self.est: List[float] = []
         self.view = _StatView(stats)
+        self.anchor = anchor
         self._memo: Dict = {}
+
+    def context(self) -> int:
+        """The register holding the context node."""
+        return self.emit(ConstScan(self.anchor))
 
     def emit(self, op) -> int:
         hit = self._memo.get(op)
@@ -635,7 +658,7 @@ class _Builder:
 
 
 # ---------------------------------------------------------------------------
-# XPath lowering (context node = root, the corpus contract)
+# XPath lowering
 # ---------------------------------------------------------------------------
 
 
@@ -676,12 +699,13 @@ def _filter_keep(builder: _Builder, path: Path) -> int:
 
 
 def _path_reg(builder: _Builder, path: Path) -> int:
-    # With the context node at the root, absolute, relative and
-    # self-headed paths all seed at the root (id 0) — the exact
-    # `_seed_mask` cases of engine.xpath specialised to context ().
-    current = builder.join(
-        [builder.emit(ConstScan("root")), _step_reg(builder, path.steps[0])]
+    # An absolute path seeds at the root; a relative or self-headed one
+    # at the context node, where its first step's test and filters
+    # apply.  Anchored at the root, all three seed at the root.
+    seed = (
+        builder.emit(ConstScan("root")) if path.absolute else builder.context()
     )
+    current = builder.join([seed, _step_reg(builder, path.steps[0])])
     for axis, step in zip(path.axes, path.steps[1:]):
         if axis == CHILD:
             moved = builder.emit(Children(current))
@@ -691,11 +715,11 @@ def _path_reg(builder: _Builder, path: Path) -> int:
     return current
 
 
-def lower_xpath(expr, stats=None) -> Plan:
+def lower_xpath(expr, stats=None, anchor: str = "root") -> Plan:
     """Lower an XPath AST (``Path`` or ``Union_``) for evaluation from
-    the root context.  The paper's whole fragment fits the IR, so this
-    lowering is total."""
-    builder = _Builder(stats)
+    the ``anchor`` node.  The paper's whole fragment fits the IR, so
+    this lowering is total."""
+    builder = _Builder(stats, anchor)
     if isinstance(expr, Union_):
         result = builder.union(
             [_path_reg(builder, alt) for alt in expr.alternatives]
@@ -766,17 +790,17 @@ def _linking_image(builder, atom, source: int, bound, free_var):
     return None
 
 
-def _set_of(builder: _Builder, phi, var, root_var) -> Optional[int]:
-    """``{var : φ}`` as a register, with ``root_var`` (if any) known to
-    be bound to the root.  Returns ``None`` outside the fragment."""
+def _set_of(builder: _Builder, phi, var, anchor_var) -> Optional[int]:
+    """``{var : φ}`` as a register, with ``anchor_var`` (if any) bound
+    to the context node.  Returns ``None`` outside the fragment."""
     kind = type(phi)
     if kind is F.Not:
-        inner = _set_of(builder, phi.inner, var, root_var)
+        inner = _set_of(builder, phi.inner, var, anchor_var)
         return None if inner is None else builder.emit(Complement(inner))
     if kind is F.And:
         regs = []
         for part in phi.parts:
-            reg = _set_of(builder, part, var, root_var)
+            reg = _set_of(builder, part, var, anchor_var)
             if reg is None:
                 return None
             regs.append(reg)
@@ -784,14 +808,14 @@ def _set_of(builder: _Builder, phi, var, root_var) -> Optional[int]:
     if kind is F.Or:
         regs = []
         for part in phi.parts:
-            reg = _set_of(builder, part, var, root_var)
+            reg = _set_of(builder, part, var, anchor_var)
             if reg is None:
                 return None
             regs.append(reg)
         return builder.union(regs)
     if kind is F.Implies:
-        premise = _set_of(builder, phi.premise, var, root_var)
-        conclusion = _set_of(builder, phi.conclusion, var, root_var)
+        premise = _set_of(builder, phi.premise, var, anchor_var)
+        conclusion = _set_of(builder, phi.conclusion, var, anchor_var)
         if premise is None or conclusion is None:
             return None
         return builder.union(
@@ -799,36 +823,35 @@ def _set_of(builder: _Builder, phi, var, root_var) -> Optional[int]:
         )
     if kind is F.Forall:
         rewritten = F.Not(F.Exists(phi.var, F.Not(phi.inner)))
-        return _set_of(builder, rewritten, var, root_var)
+        return _set_of(builder, rewritten, var, anchor_var)
     if kind is F.Exists:
-        return _exists(builder, phi.var, phi.inner, var, root_var)
+        return _exists(builder, phi.var, phi.inner, var, anchor_var)
 
     # atoms
     free = F.free_variables(phi)
     if free <= {var}:
         return _unary_atom(builder, phi, var)
-    if root_var is not None and root_var in free:
-        if free <= {root_var}:
-            # a condition on the root alone: all-or-none over var
-            over_root = _unary_atom(builder, phi, root_var)
-            if over_root is None:
+    if anchor_var is not None and anchor_var in free:
+        if free <= {anchor_var}:
+            # a condition on the context node alone: all-or-none over var
+            over_anchor = _unary_atom(builder, phi, anchor_var)
+            if over_anchor is None:
                 return None
-            rooted = builder.join(
-                [over_root, builder.emit(ConstScan("root"))]
+            anchored = builder.join([over_anchor, builder.context()])
+            return builder.emit(AnyLane(anchored))
+        if free <= {var, anchor_var}:
+            return _linking_image(
+                builder, phi, builder.context(), anchor_var, var
             )
-            return builder.emit(AnyLane(rooted))
-        if free <= {var, root_var}:
-            source = builder.emit(ConstScan("root"))
-            return _linking_image(builder, phi, source, root_var, var)
     return None
 
 
-def _exists(builder: _Builder, qvar, body, var, root_var) -> Optional[int]:
+def _exists(builder: _Builder, qvar, body, var, anchor_var) -> Optional[int]:
     """``{var : ∃ qvar. body}`` — on-the-fly miniscoping: conjuncts are
     split by whether they see ``qvar``, the ``qvar``-only part becomes
     a witness set, and at most one positive binary atom links the
     witness set back to ``var`` through a single image op."""
-    if qvar == var or qvar == root_var:
+    if qvar == var or qvar == anchor_var:
         return None  # shadowing: fall back rather than rename
     kind = type(body)
     if kind is F.Implies:
@@ -837,7 +860,7 @@ def _exists(builder: _Builder, qvar, body, var, root_var) -> Optional[int]:
     if kind is F.Or:
         regs = []
         for part in body.parts:
-            reg = _exists(builder, qvar, part, var, root_var)
+            reg = _exists(builder, qvar, part, var, anchor_var)
             if reg is None:
                 return None
             regs.append(reg)
@@ -850,12 +873,12 @@ def _exists(builder: _Builder, qvar, body, var, root_var) -> Optional[int]:
     for part in parts:
         free = F.free_variables(part)
         if qvar not in free:
-            reg = _set_of(builder, part, var, root_var)
+            reg = _set_of(builder, part, var, anchor_var)
             if reg is None:
                 return None
             outer.append(reg)
-        elif free <= ({qvar, root_var} if root_var else {qvar}):
-            reg = _set_of(builder, part, qvar, root_var)
+        elif free <= ({qvar, anchor_var} if anchor_var else {qvar}):
+            reg = _set_of(builder, part, qvar, anchor_var)
             if reg is None:
                 return None
             witness.append(reg)
@@ -928,15 +951,18 @@ def lower_sentence(formula, stats=None) -> Optional[Plan]:
     return builder.plan(result, "boolean")
 
 
-def lower_select(formula, x, y, stats=None) -> Optional[Plan]:
-    """Lower a binary selector φ(x, y) evaluated at context = root:
-    the answer set over ``y`` with ``x`` pinned to the root — or, when
-    ``y`` is not free, the reference engine's all-or-nothing contract
-    (every node if φ holds at the root, nothing otherwise)."""
+def lower_select(
+    formula, x, y, stats=None, anchor: str = "root"
+) -> Optional[Plan]:
+    """Lower a binary selector φ(x, y) evaluated at the ``anchor``
+    node: the answer set over ``y`` with ``x`` pinned to the context —
+    or, when ``y`` is not free, the reference engine's all-or-nothing
+    contract (every node if φ holds at the context, nothing
+    otherwise)."""
     free = F.free_variables(formula)
     if not free <= {x, y}:
         return None
-    builder = _Builder(stats)
+    builder = _Builder(stats, anchor)
     if y in free:
         result = _set_of(
             builder, formula, y, x if x in free else None
@@ -945,8 +971,8 @@ def lower_select(formula, x, y, stats=None) -> Optional[Plan]:
         over_x = _set_of(builder, formula, x, None)
         if over_x is None:
             return None
-        rooted = builder.join([over_x, builder.emit(ConstScan("root"))])
-        result = builder.emit(AnyLane(rooted))
+        anchored = builder.join([over_x, builder.context()])
+        result = builder.emit(AnyLane(anchored))
     else:
         condition = _closed(builder, formula)
         result = (
@@ -962,14 +988,14 @@ def lower_select(formula, x, y, stats=None) -> Optional[Plan]:
 # ---------------------------------------------------------------------------
 
 
-def lower_caterpillar(compiled, stats=None) -> Plan:
+def lower_caterpillar(compiled, stats=None, anchor: str = "root") -> Plan:
     """Lower a :class:`~repro.engine.walk.CompiledWalk` for a walk from
-    the root: one ``Closure`` op over the compiled edge tables."""
-    builder = _Builder(stats)
-    source = builder.emit(ConstScan("root"))
+    the ``anchor`` node: one ``Closure`` op over the compiled edge
+    tables."""
+    builder = _Builder(stats, anchor)
     result = builder.emit(
         Closure(
-            source,
+            builder.context(),
             compiled.edges,
             compiled.start,
             tuple(compiled.accepting),
@@ -985,9 +1011,9 @@ def lower_caterpillar(compiled, stats=None) -> Plan:
 
 def lower_query(kind: str, parsed, stats=None) -> Optional[Plan]:
     """Lower one corpus query (already parsed by
-    :mod:`repro.engine.plans`) for evaluation from the root context.
-    Returns ``None`` when the query is outside the IR fragment —
-    callers fall back to the dialect evaluator."""
+    :mod:`repro.engine.plans`) for evaluation from the root, the
+    corpus contract.  Returns ``None`` when the query is outside the
+    IR fragment — callers fall back to the dialect evaluator."""
     if kind == "xpath":
         return lower_xpath(parsed, stats)
     if kind == "ask":
@@ -998,3 +1024,35 @@ def lower_query(kind: str, parsed, stats=None) -> Optional[Plan]:
         _, compiled = parsed
         return lower_caterpillar(compiled, stats)
     return None  # caterpillar-relation: per-tree all-pairs stays put
+
+
+# ---------------------------------------------------------------------------
+# per-tree plans
+# ---------------------------------------------------------------------------
+
+#: Context-anchored plans of the per-tree evaluators, keyed by the
+#: parsed query's identity; entries pin the parsed object, so an id can
+#: never be recycled while its entry is live.  ``None`` is cached too: a
+#: formula outside the IR is probed once.
+_TREE_PLANS: KeyedLRU = KeyedLRU(256, name="tree-plans")
+
+
+def tree_plan(parsed, tag, lower) -> Optional[Plan]:
+    """The per-tree plan of ``parsed`` lowered as ``tag`` (the query
+    kind, plus whatever else the lowering reads), from ``lower()`` on a
+    miss.  A hit renders and hashes no query text: callers hand the
+    same parsed object to every call, so lowering happens once per
+    query."""
+    key = (tag, id(parsed))
+    hit = _TREE_PLANS.get(key)
+    if hit is not None and hit[0] is parsed:
+        return hit[1]
+    plan = lower()
+    _TREE_PLANS.put(key, (parsed, plan))
+    return plan
+
+
+def tree_plan_clear() -> None:
+    """Empty the per-tree plans and their bound ``Closure`` tables."""
+    _TREE_PLANS.cache_clear()
+    _TREE_CLOSURES.cache_clear()

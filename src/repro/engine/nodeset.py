@@ -3,12 +3,11 @@
 Every fast engine in this reproduction ultimately computes with the
 same object — a *node set* over dense preorder ids, packed into one
 arbitrary-precision Python int with bit *i* meaning "node *i* is in the
-set" — but three dialects of the algebra grew up independently: the
-walking engine's frontier shifts (:mod:`repro.engine.walk`), the FO
-engine's inverted-index masks (:mod:`repro.engine.fo`), and the XPath
-engine's interval merging (:mod:`repro.engine.xpath`).  This module is
-the one home for the primitives they share, so an optimisation lands
-once:
+set".  The plan IR (:mod:`repro.engine.ir`), which every dialect's
+per-tree and stacked evaluation runs through, the relational FO engine
+(:mod:`repro.engine.fo`) and the all-pairs walk relation
+(:mod:`repro.engine.walk`) all compute with it.  This module is the one
+home for the primitives they share, so an optimisation lands once:
 
 * **bit iteration / popcount** — :func:`iter_bits`, :func:`bit_count`,
   and :func:`pick_bits`, the one decode of a node set to the table
@@ -25,9 +24,10 @@ once:
   tree (n start frontiers in one n²-bit integer) to *many trees*: each
   tree gets a power-of-two-wide lane in one wide integer, and every
   mask/shift/popcount primitive acts on all lanes simultaneously;
-* **product-graph saturation** — :func:`reach` is the
-  round-synchronised frontier BFS both the caterpillar evaluator and
-  the plan IR's ``Closure`` op run over bound atom tables.
+* **product-graph saturation** — :func:`bind_closure` resolves a
+  compiled walk's atoms to masks and shift groups, and :func:`reach` is
+  the round-synchronised frontier BFS over that table, run by the plan
+  IR's ``Closure`` op and by the all-pairs relation.
 
 Lanes are padded to a power of two so the SWAR fold in
 :func:`broadcast_lanes` never leaks bits across lane boundaries, and so
@@ -54,6 +54,7 @@ __all__ = [
     "stack_groups",
     "broadcast_lanes",
     "split_lanes",
+    "bind_closure",
     "reach",
 ]
 
@@ -213,10 +214,43 @@ def split_lanes(bits: int, width: int, lanes: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+def bind_closure(edges, move_groups, test_masks, labelled):
+    """Resolve a compiled walk's atom edges against one algebra — the
+    table :func:`reach` runs over.
+
+    ``edges[q]`` holds ``((kind, payload), targets)`` pairs, as
+    :class:`~repro.engine.walk.CompiledWalk` builds them: a test
+    (``test_masks[predicate]``) or label (``labelled(σ)``) becomes a
+    ``(None, mask)`` applier, a move becomes ``(move_groups[d], 0)``.
+    Each state's edges split into *self-loops* (targets equal to the
+    state, saturated in place) and ordinary out-edges, sharing one
+    applier when an atom has both.  One tree's masks bind a walk from
+    a set of start nodes; masks tiled across lanes bind a stacked one.
+    """
+    bound = []
+    for state, state_edges in enumerate(edges):
+        selfs = []
+        outs = []
+        for (kind, payload), targets in state_edges:
+            if kind == "move":
+                applier = (move_groups[payload], 0)
+            elif kind == "test":
+                applier = (None, test_masks[payload])
+            else:  # label test
+                applier = (None, labelled(payload))
+            if state in targets:
+                selfs.append(applier)
+            rest = tuple(t for t in targets if t != state)
+            if rest:
+                outs.append((applier[0], applier[1], rest))
+        bound.append((tuple(selfs), tuple(outs)))
+    return tuple(bound)
+
+
 def reach(bound, state_count: int, start: int, init: int, context=None) -> List[int]:
     """Per-state bitsets of product-reachable nodes from ``start``
-    carrying ``init`` — the frontier-bitset BFS shared by the walking
-    engine and the plan IR's ``Closure`` op.
+    carrying ``init`` — the frontier-bitset BFS shared by the all-pairs
+    walk relation and the plan IR's ``Closure`` op.
 
     ``bound[q]`` is ``(selfs, outs)``: *self-loop* atoms of state ``q``
     as ``(groups, mask)`` appliers (saturated in place), and ordinary

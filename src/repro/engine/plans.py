@@ -24,6 +24,14 @@ in **one** process-wide :class:`~repro.caching.KeyedLRU` keyed by
 ``compile_walk_plan``
     text → ``(ast, CompiledWalk)`` — parse *plus* the ε-closed NFA
     compilation, the fast walking engine's full plan.
+``compile_ir_plan``
+    ``(kind, text)`` → the root-anchored :class:`~repro.engine.ir.Plan`
+    the stacked corpus pass runs, or ``None`` outside the IR.
+
+The per-tree evaluators keep their context-anchored plans apart
+(:func:`repro.engine.ir.tree_plan`), keyed by the parsed object's
+identity so a call renders no query text; :func:`plan_cache_clear`
+empties both.
 
 Plans are immutable and tree-independent, so sharing them across
 databases, corpus batches and worker processes is always sound.  A
@@ -43,6 +51,7 @@ from ..logic.parser import parse_query, parse_sentence
 from ..logic.tree_fo import TreeFormula
 from ..xpath.ast import Expr
 from ..xpath.parser import parse_xpath
+from .ir import lower_query, tree_plan_clear
 from .walk import CompiledWalk, compile_walk
 
 __all__ = [
@@ -128,8 +137,6 @@ def compile_ir_plan(kind: str, text: str, stats=None, parsed=None):
     ``parsed`` (the already-compiled AST for ``kind``) skips the parse
     on a cache miss; hits never parse at all.
     """
-    from .ir import lower_query
-
     fingerprint = None if stats is None else stats.fingerprint
 
     def build():
@@ -159,5 +166,7 @@ def plan_cache_info() -> CacheInfo:
 
 
 def plan_cache_clear() -> None:
-    """Empty the shared plan cache (cold-start benchmarks, tests)."""
+    """Empty the shared plan cache and the per-tree plans keyed by
+    parsed-object identity (cold-start benchmarks, tests)."""
     _PLAN_CACHE.cache_clear()
+    tree_plan_clear()

@@ -4,31 +4,33 @@ The reference caterpillar evaluator (:mod:`repro.caterpillar.nfa`)
 rebuilds a Thompson NFA on every call and BFSes the (state × node)
 product one ``(state, node)`` pair at a time, with each atom applied
 through tuple-address tree methods.  This module is its indexed
-counterpart, the same move the FO/XPath engines made in
-:mod:`repro.engine.fo` / :mod:`repro.engine.xpath`:
+counterpart:
 
 * each expression is compiled **once** (bounded LRU keyed by the
   concrete syntax) into a :class:`CompiledWalk` — the ε-*closed* NFA
   with per-state, atom-partitioned edge tables;
-* each (expression, tree) pairing binds the compiled atoms to the
-  tree's :class:`~repro.engine.index.TreeIndex`: tests become bitset
-  masks (one ``&`` per frontier), moves become the index's move-graph
-  maps (shift-shaped where preorder allows, array loops elsewhere);
-* evaluation is a frontier-bitset BFS over the product graph — one
-  big-int operation per (state, atom) per round instead of one
-  dict/set operation per (state, node) pair.
+* binding resolves the compiled atoms against a tree's
+  :class:`~repro.engine.index.TreeIndex`
+  (:func:`~repro.engine.nodeset.bind_closure`): tests become bitset
+  masks (one ``&`` per frontier), moves become the index's shift
+  groups;
+* evaluation is a frontier-bitset BFS over the product graph
+  (:func:`~repro.engine.nodeset.reach`) — one big-int operation per
+  (state, atom) per round instead of one dict/set operation per
+  (state, node) pair.
 
 :func:`walk` mirrors the reference ``walk`` (nodes reachable from one
-context), :func:`relation` mirrors the reference ``relation`` (the full
-denoted binary relation, computed as one per-start-node reachability
-sweep over the shared compiled product), and :func:`matches` mirrors
-tree acceptance from the root.
+context) and :func:`matches` tree acceptance from the root; both run
+the expression's plan-IR ``Closure`` op anchored at the context node.
+:func:`relation` mirrors the reference ``relation`` (the full denoted
+binary relation), computed by :class:`WalkEvaluator` as one stacked
+sweep over every start node at once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..caching import KeyedLRU
 from ..caterpillar.ast import (
@@ -47,7 +49,8 @@ from ..resilience.budget import current_context
 from ..trees.node import NodeId
 from ..trees.tree import Tree
 from .index import TreeIndex, index_for, iter_bits
-from .nodeset import apply_atom, lane_tiler, reach
+from .ir import evaluate_tree, lower_caterpillar, tree_plan
+from .nodeset import bind_closure, lane_tiler, reach
 
 __all__ = [
     "CompiledWalk",
@@ -142,18 +145,6 @@ class CompiledWalk:
             renumber[s] for s in order if s in accepting
         )
 
-    def bind(self, tree: Tree) -> "WalkEvaluator":
-        """The evaluator of this expression over ``tree``."""
-        return WalkEvaluator(self, index_for(tree))
-
-    def to_ir(self):
-        """This expression as a shared-IR plan (a single ``Closure`` op
-        seeded at the root) — what the vectorized shard executor runs
-        across a whole corpus chunk at once."""
-        from .ir import lower_caterpillar
-
-        return lower_caterpillar(self)
-
     def __repr__(self) -> str:
         return f"CompiledWalk({self.text!r}, {self.state_count} states)"
 
@@ -241,115 +232,31 @@ def _epsilon_closures(nfa: CaterpillarNFA) -> List[Tuple[int, ...]]:
 
 
 class WalkEvaluator:
-    """A :class:`CompiledWalk` bound to one tree's index.
+    """A :class:`CompiledWalk` bound to one tree's index for the full
+    denoted relation (:meth:`all_pairs`).
 
-    Binding resolves every atom against the index once: tests become
-    bitset masks, moves become the index's move-graph maps.  The bound
-    table is reused across every :meth:`from_context` call and the
-    whole :meth:`all_pairs` sweep.
+    The edge tables act on the *stacked* representation: one big int
+    holding n blocks of n bits, block s = current node set of the walk
+    started at node s.  Tests tile their mask across every block; moves
+    replay their shift groups, which stay inside a block because every
+    (source, target) pair lies in [0, n).  One BFS over these atoms
+    advances all n start nodes simultaneously.
     """
 
-    __slots__ = ("compiled", "index", "_bound", "_stacked")
+    __slots__ = ("compiled", "index", "_bound", "_diagonal")
 
     def __init__(self, compiled: CompiledWalk, index: TreeIndex) -> None:
         self.compiled = compiled
         self.index = index
-        move_groups = {
-            direction: tuple(groups)
-            for direction, groups in index.move_groups.items()
-        }
-        test_masks = {
-            IS_ROOT: index.root_mask,
-            IS_LEAF: index.leaf_mask,
-            IS_FIRST: index.first_mask,
-            IS_LAST: index.last_mask,
-        }
-        self._bound = self._bind(move_groups, test_masks, 1)
-        self._stacked = None  # built lazily by all_pairs()
-
-    def _bind(self, move_groups, test_masks, tiler):
-        """Resolve every compiled atom against this tree: a test/label
-        becomes ``(None, mask)``, a move becomes ``(shift_groups, 0)``.
-        Each state's edges are split into *self-loops* (targets equal to
-        the state — saturated in place by the evaluator) and ordinary
-        out-edges, with the same applier shared when an atom has both.
-        """
-        index = self.index
-        bound = []
-        for state, state_edges in enumerate(self.compiled.edges):
-            selfs = []
-            outs = []
-            for (kind, payload), targets in state_edges:
-                if kind == "move":
-                    applier = (move_groups[payload], 0)
-                elif kind == "test":
-                    applier = (None, test_masks[payload] * tiler)
-                else:  # label test
-                    applier = (None, index.labelled(payload) * tiler)
-                if state in targets:
-                    selfs.append(applier)
-                rest = tuple(t for t in targets if t != state)
-                if rest:
-                    outs.append((applier[0], applier[1], rest))
-            bound.append((tuple(selfs), tuple(outs)))
-        return tuple(bound)
-
-    #: One atom, set-at-a-time — the kernel's applier (mask intersection
-    #: for tests, one shift per move-graph group for moves).
-    _apply = staticmethod(apply_atom)
-
-    def _reach(self, bound, init: int) -> List[int]:
-        """Per-state bitsets of product-reachable nodes from the start
-        state carrying ``init`` — the kernel's round-synchronised
-        frontier-bitset BFS (:func:`repro.engine.nodeset.reach`), with
-        self-loops (``a*`` plumbing after compilation) saturated in
-        place and one budget checkpoint per unit of big-int work."""
-        return reach(
-            bound,
-            self.compiled.state_count,
-            self.compiled.start,
-            init,
-            current_context(),
-        )
-
-    def result_mask(self, context: NodeId = ()) -> int:
-        """Bitset of nodes reachable from ``context`` by some denoted
-        caterpillar string."""
-        self.index.tree.require(context)
-        reached = self._reach(self._bound, 1 << self.index.id_of[context])
-        out = 0
-        for state in self.compiled.accepting:
-            out |= reached[state]
-        return out
-
-    def from_context(self, context: NodeId = ()) -> Tuple[NodeId, ...]:
-        """All nodes reachable from ``context`` — document order, the
-        reference ``walk`` contract."""
-        return self.index.to_nodes(self.result_mask(context))
-
-    # -- all-pairs: every start state at once ---------------------------------
-
-    def _bind_stacked(self):
-        """Edge tables over the *stacked* representation: one big int
-        holding n blocks of n bits, block s = current node set of the
-        walk started at node s.  Tests tile their mask across every
-        block; moves replay their shift groups, which stay inside a
-        block because every (source, target) pair lies in [0, n).  One
-        BFS over these atoms advances all n start nodes simultaneously
-        — per-start-state reachability in one product sweep.
-        """
-        if self._stacked is not None:
-            return self._stacked
-        index = self.index
         n = index.n
         #: bits at 0, n, 2n, …: multiplying an n-bit mask by this tiles
         #: it across all n blocks (no carries — blocks don't overlap).
         tiler = lane_tiler(n, n)
         test_masks = {
-            IS_ROOT: index.root_mask,
-            IS_LEAF: index.leaf_mask,
-            IS_FIRST: index.first_mask,
-            IS_LAST: index.last_mask,
+            IS_ROOT: index.root_mask * tiler,
+            IS_LEAF: index.leaf_mask * tiler,
+            IS_FIRST: index.first_mask * tiler,
+            IS_LAST: index.last_mask * tiler,
         }
         move_groups = {
             direction: tuple(
@@ -357,19 +264,31 @@ class WalkEvaluator:
             )
             for direction, groups in index.move_groups.items()
         }
+        self._bound = bind_closure(
+            compiled.edges,
+            move_groups,
+            test_masks,
+            lambda name: index.labelled(name) * tiler,
+        )
         diagonal = 0
         for s in range(n):
             diagonal |= 1 << (s * n + s)
-        self._stacked = (self._bind(move_groups, test_masks, tiler), diagonal)
-        return self._stacked
+        self._diagonal = diagonal
 
     def all_pairs(self) -> FrozenSet[Tuple[NodeId, NodeId]]:
         """The full denoted relation ⟦expr⟧ ⊆ Dom(t)² — one stacked
-        frontier-bitset BFS covering every start node at once."""
-        bound, diagonal = self._bind_stacked()
-        reached = self._reach(bound, diagonal)
+        frontier-bitset BFS covering every start node at once, with one
+        budget checkpoint per unit of big-int work."""
+        compiled = self.compiled
+        reached = reach(
+            self._bound,
+            compiled.state_count,
+            compiled.start,
+            self._diagonal,
+            current_context(),
+        )
         answers = 0
-        for state in self.compiled.accepting:
+        for state in compiled.accepting:
             answers |= reached[state]
         index = self.index
         n = index.n
@@ -382,10 +301,6 @@ class WalkEvaluator:
                 source = node_of[s]
                 out.update((source, node_of[v]) for v in iter_bits(hits))
         return frozenset(out)
-
-    def matches(self) -> bool:
-        """Tree acceptance: some denoted string walks from the root."""
-        return bool(self.result_mask(()))
 
     def __repr__(self) -> str:
         return f"WalkEvaluator({self.compiled.text!r}, n={self.index.n})"
@@ -419,15 +334,15 @@ def compile_cache_clear() -> None:
     _EVAL_CACHE.cache_clear()
 
 
-#: Bound evaluators keyed by (compiled, index) identity, so repeated
-#: queries with the same expression against the same tree reuse the
-#: bound atom tables (including the lazily built stacked ones).
-#: Entries pin both objects, so neither id can be recycled while live.
+#: All-pairs evaluators keyed by (compiled, index) identity, so the
+#: relation of the same expression over the same tree reuses its bound
+#: stacked tables.  Entries pin both objects, so neither id can be
+#: recycled while live.
 _EVAL_CACHE: KeyedLRU = KeyedLRU(128, name="walk-evaluators")
 
 
 def evaluator_for(expr: Caterpillar, tree: Tree) -> WalkEvaluator:
-    """The (cached) bound evaluator of ``expr`` over ``tree``."""
+    """The (cached) all-pairs evaluator of ``expr`` over ``tree``."""
     compiled = compile_walk(expr)
     index = index_for(tree)
     key = (id(compiled), id(index))
@@ -444,11 +359,23 @@ def evaluator_for(expr: Caterpillar, tree: Tree) -> WalkEvaluator:
 # ---------------------------------------------------------------------------
 
 
+def _plan(expr: Caterpillar):
+    """The walk's per-tree plan: one ``Closure`` op from the context."""
+    return tree_plan(
+        expr, "caterpillar",
+        lambda: lower_caterpillar(compile_walk(expr), anchor="context"),
+    )
+
+
 def walk(
     expr: Caterpillar, tree: Tree, start: NodeId = ()
 ) -> Tuple[NodeId, ...]:
     """Fast counterpart of :func:`repro.caterpillar.nfa.walk`."""
-    return evaluator_for(expr, tree).from_context(start)
+    tree.require(start)
+    index = index_for(tree)
+    return index.to_nodes(
+        evaluate_tree(_plan(expr), index, index.id_of[start])
+    )
 
 
 def relation(expr: Caterpillar, tree: Tree) -> FrozenSet[Tuple[NodeId, NodeId]]:
@@ -457,5 +384,6 @@ def relation(expr: Caterpillar, tree: Tree) -> FrozenSet[Tuple[NodeId, NodeId]]:
 
 
 def matches(expr: Caterpillar, tree: Tree) -> bool:
-    """Fast counterpart of :func:`repro.caterpillar.nfa.matches`."""
-    return evaluator_for(expr, tree).matches()
+    """Fast counterpart of :func:`repro.caterpillar.nfa.matches`: some
+    denoted string walks from the root."""
+    return bool(evaluate_tree(_plan(expr), index_for(tree)))

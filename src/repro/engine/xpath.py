@@ -1,124 +1,46 @@
-"""Interval/bitset XPath evaluation over a :class:`TreeIndex`.
+"""Fast XPath selection over a :class:`TreeIndex`: the plan IR from any
+context node.
 
 The reference evaluator (:mod:`repro.xpath.evaluator`) materializes a
 Python set of node addresses per step and walks axes node by node.
-Here a step's node set is an int bitset over dense preorder ids, and
+Here the expression lowers once (:func:`repro.engine.ir.lower_xpath`,
+anchored at the context node) to a register program over int bitsets
+on dense preorder ids, and every call runs that program:
 
-* a **child** axis is one precomputed ``children_mask`` OR per source;
-* a **descendant** axis collapses the sources' subtrees to maximal
-  *preorder intervals* first (:meth:`TreeIndex.descendants_mask`), so
-  ``//`` from a whole frontier costs O(#disjoint subtrees) big-int
-  range operations instead of touching each descendant — the payoff of
-  interval labelling;
+* a **child** step is one ``Children`` image of the whole frontier;
+* a **descendant** step collapses the frontier's subtrees to maximal
+  preorder intervals (:meth:`TreeIndex.descendants_mask`), so ``//``
+  costs O(#disjoint subtrees) big-int range operations;
 * node tests intersect with the label inverted index (one ``&``);
+* a filter ``[p]`` becomes a *keep-mask* computed backwards, set at a
+  time: the nodes at which ``p`` matches, pulled up through ``p``'s
+  axes by ``up`` moves — no per-candidate run;
 * document-order output is free (ascending bit order).
 
-Filters keep the reference's existential semantics: ``u`` passes
-``[p]`` iff ``p`` selects something from context ``u`` — evaluated with
-the same bitset machinery, one cheap run per candidate.  Agreement
-with the reference is enforced by the ``xpath/fast-xpath`` oracle pair
-and the hypothesis differential suite.
+The lowering is total over the paper's fragment, so this is the only
+fast XPath path.  Agreement with the reference is enforced by the
+``xpath/fast-xpath`` oracle pair and the differential suites.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..resilience.budget import current_context
 from ..trees.node import NodeId
 from ..trees.tree import Tree
-from ..xpath.ast import (
-    CHILD,
-    Expr,
-    NameTest,
-    NodeTest,
-    Path,
-    SelfTest,
-    Step,
-    Union_,
-)
-from .index import TreeIndex, index_for, iter_bits
+from ..xpath.ast import Expr
+from .index import index_for
+from .ir import evaluate_tree, lower_xpath, tree_plan
 
 __all__ = ["select"]
 
 
-def _test_mask(test: NodeTest, idx: TreeIndex) -> int:
-    if isinstance(test, NameTest):
-        return idx.labelled(test.name)
-    return idx.all_mask  # Wildcard and (non-leading) SelfTest match any node.
-
-
-def _apply_filters(step: Step, idx: TreeIndex, bits: int) -> int:
-    context = current_context()
-    for filter_path in step.filters:
-        keep = 0
-        for u in iter_bits(bits):
-            # One budget checkpoint per candidate: filter evaluation is
-            # the only place this engine does per-node work.
-            if context is not None:
-                context.checkpoint()
-            if _path_mask(filter_path, idx, u, in_filter=True):
-                keep |= 1 << u
-        bits = keep
-        if not bits:
-            break
-    return bits
-
-
-def _seed_mask(path: Path, idx: TreeIndex, context: int, in_filter: bool) -> int:
-    first = path.steps[0]
-    if path.absolute:
-        candidates = idx.root_mask
-    elif isinstance(first.test, SelfTest):
-        candidates = 1 << context
-    elif in_filter:
-        candidates = idx.children_mask[context]  # the implicit child axis
-    else:
-        candidates = 1 << context  # relative: first test applies to context
-    candidates &= _test_mask(first.test, idx)
-    return _apply_filters(first, idx, candidates)
-
-
-def _path_mask(
-    path: Path, idx: TreeIndex, context: int, in_filter: bool = False
-) -> int:
-    ctx = current_context()
-    current = _seed_mask(path, idx, context, in_filter)
-    for axis, step in zip(path.axes, path.steps[1:]):
-        if not current:
-            break
-        if ctx is not None:
-            ctx.checkpoint()
-        if axis == CHILD:
-            targets = idx.children_of_mask(current)
-        else:
-            targets = idx.descendants_mask(current)
-        current = _apply_filters(step, idx, targets & _test_mask(step.test, idx))
-    return current
-
-
 def select(expr: Expr, tree: Tree, context: NodeId = ()) -> Tuple[NodeId, ...]:
     """Bitset counterpart of :func:`repro.xpath.evaluator.select` —
-    same nodes, same document order.
-
-    Root-context queries (the corpus contract) lower through the shared
-    plan IR (:mod:`repro.engine.ir`), where filters become backward
-    keep-masks evaluated set-at-a-time; other contexts keep the direct
-    per-step path below.
-    """
+    same nodes, same document order, from any context node."""
     tree.require(context)
     idx = index_for(tree)
-    context_id = idx.id_of[context]
-    if context_id == 0:
-        from .ir import evaluate_tree
-        from .plans import compile_ir_plan
-
-        plan = compile_ir_plan("xpath", repr(expr), parsed=expr)
-        return idx.to_nodes(evaluate_tree(plan, idx))
-    if isinstance(expr, Union_):
-        bits = 0
-        for alternative in expr.alternatives:
-            bits |= _path_mask(alternative, idx, context_id)
-    else:
-        bits = _path_mask(expr, idx, context_id)
-    return idx.to_nodes(bits)
+    plan = tree_plan(
+        expr, "xpath", lambda: lower_xpath(expr, anchor="context")
+    )
+    return idx.to_nodes(evaluate_tree(plan, idx, idx.id_of[context]))

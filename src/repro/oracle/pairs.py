@@ -25,15 +25,16 @@ The fourteen pairs and the equivalence each one guards:
                                 guarded execution forced on) vs the fast FO
                                 engine run directly
 ``xpath/fast-xpath``            the node-at-a-time XPath evaluator vs the
-                                bitset/interval engine, with a raised variable cap
+                                plan IR from a random context, with a raised
+                                variable cap
 ``caterpillar/fast-caterpillar``  the reference Thompson-NFA walk vs the compiled
                                 product-graph walking engine
                                 (:mod:`repro.engine.walk`), on the full denoted
                                 relation (stacked ``all_pairs``) *and* one
-                                per-context walk
-``ntwa/fast-caterpillar``       the compiled NTWA (§6) vs the walking engine:
+                                IR walk from a random context
+``ntwa/fast-caterpillar``       the compiled NTWA (§6) vs the IR walk:
                                 per-start acceptance equals per-start
-                                nonemptiness of the compiled product
+                                nonemptiness of the walk from that node
 ``corpus/sequential``           the set-at-a-time corpus batch executor
                                 (:mod:`repro.corpus`) vs a loop of single-tree
                                 facade calls, element-wise, under two chunkings
@@ -844,13 +845,15 @@ class AutoVsFastFO(EnginePair):
 
 
 class XPathVsFastXPath(EnginePair):
-    """The node-at-a-time XPath evaluator vs the bitset/interval engine.
+    """The node-at-a-time XPath evaluator vs the fast engine: the plan
+    IR anchored at a random context node.
 
     Generated with the raised :data:`~repro.oracle.generators.
     FAST_ENGINE_MAX_VARIABLES` cap: neither side compiles to FO, so
     deeper filter nesting is affordable here and exercises exactly the
-    paths (descendant range masks, per-candidate filter runs) that the
-    ``xpath/fo`` pair's conservative cap rarely reaches."""
+    paths (descendant range masks, filters as backward keep-masks,
+    relative paths seeded at a non-root context) that the ``xpath/fo``
+    pair's conservative cap rarely reaches."""
 
     name = "xpath/fast-xpath"
 
@@ -905,8 +908,8 @@ class CaterpillarVsFastCaterpillar(EnginePair):
     Checked on the *full denoted relation* — the reference loops
     ``walk`` over every context while the fast engine answers with one
     stacked ``all_pairs`` BFS — and, when the relations agree, on the
-    document-ordered walk from one random context, so the per-context
-    frontier path is exercised too."""
+    document-ordered walk from one random context, so the IR's
+    context-anchored ``Closure`` is exercised too."""
 
     name = "caterpillar/fast-caterpillar"
 
@@ -948,10 +951,10 @@ class CaterpillarVsFastCaterpillar(EnginePair):
 
 class NTWAVsFastCaterpillar(EnginePair):
     """The compiled nondeterministic tree-walking automaton (§6) vs the
-    walking engine: from every start node, the NTWA accepts iff the
-    compiled product reaches an accepting state — the nonemptiness view
-    of ``caterpillar/ntwa``, with the bitset engine on the other side
-    and no code shared between the two routes."""
+    walking engine: from every start node, the NTWA accepts iff the IR
+    walk anchored at that node reaches an accepting state — the
+    nonemptiness view of ``caterpillar/ntwa``, with the bitset engine
+    on the other side and no code shared between the two routes."""
 
     name = "ntwa/fast-caterpillar"
 
@@ -969,10 +972,10 @@ class NTWAVsFastCaterpillar(EnginePair):
                 for u in case.tree.nodes
             )
         )
-        evaluator = engine_walk.compile_walk(expr).bind(case.tree)
         right, right_s = _timed(
             lambda: tuple(
-                bool(evaluator.result_mask(u)) for u in case.tree.nodes
+                bool(engine_walk.walk(expr, case.tree, u))
+                for u in case.tree.nodes
             )
         )
         return Outcome(left == right, str(left), str(right), left_s, right_s)

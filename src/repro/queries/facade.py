@@ -24,7 +24,12 @@ from ..engine import fo as fast_fo
 from ..engine import xpath as fast_xpath
 from ..engine.index import TreeIndex, index_for
 from ..engine.planner import Plan, Planner, default_planner
-from ..engine.plans import compile_caterpillar_plan, compile_xpath_plan
+from ..engine.plans import (
+    compile_caterpillar_plan,
+    compile_select_plan,
+    compile_sentence_plan,
+    compile_xpath_plan,
+)
 from ..logic import tree_fo
 from ..logic.exists_star import ExistsStarQuery
 from ..mso.hedge import HedgeAutomaton
@@ -304,11 +309,14 @@ class TreeDatabase:
         budget: Optional[Budget] = None,
     ) -> bool:
         """Model-check an FO sentence given as text, e.g.
-        ``db.ask('forall x (leaf(x) -> O_item(x))')``."""
-        from ..logic.parser import parse_sentence
-
+        ``db.ask('forall x (leaf(x) -> O_item(x))')``.  The parse is
+        shared process-wide, so the fast engine finds the sentence's
+        plan again on the next call."""
         return self.holds(
-            parse_sentence(text), engine=engine, budget=budget, plan_text=text
+            compile_sentence_plan(text),
+            engine=engine,
+            budget=budget,
+            plan_text=text,
         )
 
     def select_where(
@@ -319,11 +327,10 @@ class TreeDatabase:
         budget: Optional[Budget] = None,
     ) -> Tuple[NodeId, ...]:
         """Evaluate a textual binary FO(∃*) query φ(x, y), e.g.
-        ``db.select_where('x << y & O_item(y)')``."""
-        from ..logic.parser import parse_query
-
+        ``db.select_where('x << y & O_item(y)')``.  The parse is shared
+        process-wide, like :meth:`ask`'s."""
         return self.select(
-            parse_query(text),
+            compile_select_plan(text),
             context,
             engine=engine,
             budget=budget,

@@ -3,11 +3,12 @@
 A :class:`Budget` bounds one query evaluation along five axes — a
 wall-clock deadline, a step/node-visit fuel, a result-cardinality cap,
 a recursion-depth limit and a formula-size limit.  It is *cooperative*:
-the engine hot loops (``repro.engine.fo/xpath/walk``, the automaton
-runner, and the reference evaluators) call :func:`checkpoint` as they
-work, and the active budget raises a structured
-:class:`~repro.resilience.errors.ResourceExhausted` the moment a limit
-trips — never a wrong answer, never a partial one.
+the engine hot loops (the plan IR's interpreter in
+``repro.engine.ir``, the relational ``repro.engine.fo``, the all-pairs
+walk, the automaton runner, and the reference evaluators) call
+:func:`checkpoint` as they work, and the active budget raises a
+structured :class:`~repro.resilience.errors.ResourceExhausted` the
+moment a limit trips — never a wrong answer, never a partial one.
 
 Budgets are threaded *ambiently* through an :class:`ExecutionContext`
 held in a :class:`contextvars.ContextVar`, so the dozens of existing

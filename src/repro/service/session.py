@@ -89,24 +89,20 @@ class Dispatcher:
         admission: Optional[AdmissionController] = None,
         workers: int = 0,
         default_timeout_ms: Optional[int] = 10_000,
-        max_budget_steps: Optional[int] = None,
         worker_retries: int = 2,
         retry_backoff: float = 0.02,
         allow_faults: bool = False,
-        resilience_log=None,
         result_cache: int = 0,
     ) -> None:
         self.corpus = corpus
         self.admission = admission or AdmissionController()
         self.workers = workers
         self.default_timeout_ms = default_timeout_ms
-        self.max_budget_steps = max_budget_steps
         self.worker_retries = worker_retries
         self.retry_backoff = retry_backoff
         #: Fault injection is opt-in (the chaos harness turns it on);
         #: a production server rejects fault-carrying requests.
         self.allow_faults = allow_faults
-        self.resilience_log = resilience_log
         #: Generation-keyed window result cache (``repro serve
         #: --result-cache N``; 0 disables).  Keys lead with the corpus
         #: token, which embeds the store generation — any mutation
@@ -186,12 +182,11 @@ class Dispatcher:
             raise _bad_request(f"unknown engine {engine!r}")
         timeout_ms = _int_option(options, "timeout_ms", self.default_timeout_ms)
         budget_steps = _int_option(options, "budget_steps", None)
-        if self.max_budget_steps is not None:
-            budget_steps = (
-                self.max_budget_steps
-                if budget_steps is None
-                else min(budget_steps, self.max_budget_steps)
-            )
+        for key, value in (
+            ("timeout_ms", timeout_ms), ("budget_steps", budget_steps)
+        ):
+            if value is not None and value < 0:
+                raise _bad_request(f"option {key!r} must be >= 0")
         faults = self._parse_faults(options.get("faults"))
 
         tree_count = self._tree_count()
@@ -393,8 +388,6 @@ class Dispatcher:
         )
         if self.result_cache is not None:
             payload["result_cache"] = self.result_cache.info()
-        if self.resilience_log is not None:
-            payload["resilience"] = self.resilience_log.snapshot()
         return payload
 
     # -- internals -----------------------------------------------------

@@ -15,6 +15,7 @@ from repro.corpus import (
     select_query,
     xpath_query,
 )
+from repro.engine import ir as ir_module
 from repro.engine.index import TreeIndex, index_for
 from repro.engine.plans import (
     compile_xpath_plan,
@@ -81,8 +82,11 @@ def test_plan_cache_shared_across_databases(trees):
     db2.xpath("//δ")  # second database, same text: no recompile
     after = plan_cache_info()
     assert after.misses == before.misses
-    # Two shared artifacts per text: the parsed AST and the lowered IR plan.
-    assert after.hits == before.hits + 2
+    # One shared artifact per text: the parsed AST.  The per-tree IR
+    # plan is keyed by that AST's identity, so the second database
+    # reuses it without rendering the text.
+    assert after.hits == before.hits + 1
+    assert len(ir_module._TREE_PLANS) == 1
 
 
 def test_plan_cache_returns_same_object():

@@ -41,7 +41,6 @@ from repro.corpus.query import (
     xpath_query,
 )
 from repro.corpus.segment import _stats_row
-from repro.engine.index import index_for
 from repro.engine.stats import TreeStatistics
 from repro.trees.generators import random_tree
 
@@ -505,7 +504,7 @@ def test_point_reads_after_replace_see_the_new_tree(
     with CorpusStore.create(str(tmp_path / "s"), segment_size=5) as store:
         store.ingest(trees)
         if cached:
-            store.tree(5)  # materialize segment 1 for point reads
+            store.tree(5)  # a point read of the segment before the edit
         repaired = []
         original = store_module.repair_index
 
@@ -517,9 +516,7 @@ def test_point_reads_after_replace_see_the_new_tree(
         edited, site = _edited(trees[8], seed=95)
         store.replace(8, edited, site=site)
         assert _same_tree(store.tree(8), edited)
-        if cached:
-            assert store.tree(8) is edited
-            assert index_for(store.tree(8)) is repaired[0]
+        assert len(repaired) == 1  # the old record decoded and repaired
         trees[8] = edited
         assert all(_same_tree(store.tree(i), t) for i, t in enumerate(trees))
 

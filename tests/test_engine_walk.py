@@ -19,6 +19,7 @@ from repro.caterpillar import nfa as reference
 from repro.caterpillar.parser import parse_caterpillar
 from repro.engine import walk as fast
 from repro.engine.index import index_for, iter_bits
+from repro.engine.ir import evaluate_tree, lower_caterpillar
 from repro.oracle import generators as gen
 from repro.trees import parse_term
 
@@ -174,12 +175,20 @@ def test_compiled_walk_label_atoms():
     assert ("move", "down") in atoms
 
 
-def test_evaluator_result_mask_marks_answers(sigma_delta_tree):
+def test_walk_plan_marks_answers_from_any_context(sigma_delta_tree):
+    """A walk's per-tree plan is one ``Closure`` op seeded at the
+    context node; its result bitset marks the nodes the walk reaches."""
     expr = parse_caterpillar("(down | right)* isLeaf")
-    evaluator = fast.compile_walk(expr).bind(sigma_delta_tree)
+    plan = lower_caterpillar(fast.compile_walk(expr), anchor="context")
+    assert [type(op).__name__ for op in plan.ops] == ["ConstScan", "Closure"]
+    assert plan.ops[0].kind == "context"
     index = index_for(sigma_delta_tree)
-    answers = _bits_to_nodes(index, evaluator.result_mask(()))
+    answers = _bits_to_nodes(index, evaluate_tree(plan, index))
     assert answers == {(0, 0), (0, 1), (1, 0)}
+    from_first = evaluate_tree(plan, index, index.id_of[(0,)])
+    assert _bits_to_nodes(index, from_first) == {(0, 0), (0, 1), (1, 0)}
+    from_last = evaluate_tree(plan, index, index.id_of[(1,)])
+    assert _bits_to_nodes(index, from_last) == {(1, 0)}
 
 
 # ---------------------------------------------------------------------------

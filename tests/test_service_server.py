@@ -223,6 +223,28 @@ class TestDispatcher:
         assert response["ok"] is False
         assert response["error"]["code"] == code
 
+    @pytest.mark.parametrize(
+        "options", [{"budget_steps": -1}, {"timeout_ms": -5}]
+    )
+    def test_negative_budgets_are_bad_requests(self, dispatcher, options):
+        """A negative budget is the client's mistake: it is refused
+        before pricing and admission, counted as BAD_REQUEST rather
+        than INTERNAL, and the session goes on answering."""
+        session = dispatcher.open_session()
+        query = [{"kind": "xpath", "text": "//δ"}]
+        response = dispatcher.handle(
+            {"op": "query", "queries": query, "options": options}, session
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "BAD_REQUEST"
+        assert dispatcher.admission.counters()["admitted"] == 0
+        good = dispatcher.handle({"op": "query", "queries": query}, session)
+        assert good["ok"] is True
+        errors = dispatcher.handle({"op": "stats"}, session)["service"][
+            "errors"
+        ]
+        assert errors == {"BAD_REQUEST": 1}
+
     def test_fault_injection_is_rejected_unless_enabled(self, dispatcher):
         session = dispatcher.open_session()
         response = dispatcher.handle(
