@@ -21,12 +21,13 @@ test:
 test-leaks:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
-## The thread-safety, server and result-cache tests in Python's
-## development mode: asyncio debug mode on, and a file left unclosed
-## (a ResourceWarning) fails its test.  It includes the stress test of
-## threads sharing kept stacked shards.
+## The thread-safety, server, result-cache and wire-protocol tests in
+## Python's development mode: asyncio debug mode on, and a file left
+## unclosed (a ResourceWarning) fails its test.  It includes the stress
+## tests of threads sharing kept stacked shards and the frame encoder's
+## address-text table.
 DEV_TESTS = tests/test_thread_safety.py tests/test_service_server.py \
-	tests/test_service_result_cache.py
+	tests/test_service_result_cache.py tests/test_service_protocol.py
 test-dev:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -m pytest -x -q -W error::ResourceWarning $(DEV_TESTS)
 

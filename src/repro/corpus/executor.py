@@ -91,7 +91,8 @@ from .query import CorpusQuery
 from .segment import Segment, Sidecar, StoreError
 
 __all__ = [
-    "ChunkReport", "BatchResult", "WorkerPools", "run_batch", "plan_queries",
+    "ChunkReport", "BatchResult", "ResultRows", "WorkerPools", "run_batch",
+    "plan_queries",
 ]
 
 #: Engines a batch can run on.  ``"fast"`` is the indexed set-at-a-time
@@ -136,6 +137,17 @@ class ChunkReport:
     source: str = "trees"
 
 
+class ResultRows(tuple):
+    """A batch's rows: one tuple of cells per tree, each cell canonical
+    by contract — a ``bool``, a tuple of node addresses (tuples of
+    ``int``) or a tuple of address pairs.  The type marks the contract:
+    the query service writes ``results`` that are ``ResultRows`` from
+    cached address texts (:mod:`repro.service.protocol`), and any other
+    value through ``json.dumps``."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """The answers of one batch, in deterministic (tree, query) order.
@@ -145,7 +157,7 @@ class BatchResult:
     the chunking or worker count."""
 
     queries: Tuple[CorpusQuery, ...]
-    rows: Tuple[Tuple[object, ...], ...]
+    rows: ResultRows
     chunks: Tuple[ChunkReport, ...]
     workers: int
     #: Per-query planner decisions — populated only by ``engine="auto"``
@@ -568,6 +580,10 @@ def _evaluate_rows(
                     idx.to_nodes(lane)
                     for idx, lane in zip(shard.indexes, lanes)
                 ]
+        if len(columns) == len(queries):
+            # Every cell came from the shard: the rows are its columns,
+            # transposed, with no per-tree work left to do.
+            return tuple(zip(*(columns[q] for q in range(len(queries)))))
     rows = []
     for position in range(len(trees) if trees is not None else shard.lanes):
         tree = None
@@ -911,7 +927,7 @@ def run_batch(
 def _batch_result(queries, answers, workers, plans) -> BatchResult:
     return BatchResult(
         queries=queries,
-        rows=tuple(row for rows, _ in answers for row in rows),
+        rows=ResultRows(row for rows, _ in answers for row in rows),
         chunks=tuple(report for _, report in answers),
         workers=workers,
         plans=plans,

@@ -86,7 +86,10 @@ def pick_bits(table: Sequence, bits: int) -> tuple:
     The binary digits, low bit first, select entries in one C-level
     ``compress`` pass: linear in the set's bit length with no Python
     work per node, where a lowest-bit loop costs one big-int op per
-    member and grows quadratic on large dense sets."""
+    member and grows quadratic on large dense sets.  The empty set, a
+    common answer, takes no pass at all."""
+    if not bits:
+        return ()
     selectors = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
     return tuple(compress(table, selectors))
 

@@ -23,9 +23,11 @@ the cache entirely in both directions.
 An entry never changes once stored, whatever its callers do with what
 they are handed.  The cache copies every dict and list of a response
 on the way in and on the way out, and shares everything else.  The
-result rows — the bulk of a response — are tuples of tuples of node
+result rows — the bulk of a response — are the executor's
+:class:`~repro.corpus.executor.ResultRows`, tuples of tuples of node
 addresses and bools, so they are shared, not copied: no caller can
-change them in place.
+change them in place, and a hit's frame is written from cached
+address texts like a fresh answer's.
 """
 
 from __future__ import annotations

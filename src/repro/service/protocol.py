@@ -27,6 +27,23 @@ or carry one structured error (never a traceback)::
 The error codes are a closed set (:data:`ERROR_CODES`) so clients can
 switch on them; everything unexpected maps to ``INTERNAL`` and the
 *session stays up* — one bad query never costs the connection.
+
+A frame's body is byte for byte ``json.dumps(payload,
+ensure_ascii=False, separators=(",", ":"))``, whatever the payload.
+A query response's ``results`` are most of its bytes: one row per tree,
+one cell per query, each cell a bool, a tuple of node addresses or a
+tuple of address pairs.  :func:`encode_frame` writes them from one
+process-wide table that maps each node address (and address pair) it
+has seen to its JSON text, so a cell costs one C-level join over
+cached texts instead of re-encoding every int of every address.  The
+table is keyed by value, and Python treats ``(0, 1)``, ``(0, True)``
+and ``(0, 1.0)`` as one key, so it serves only rows whose cells are
+canonical by contract: the executor's
+:class:`~repro.corpus.executor.ResultRows`, which
+:meth:`~repro.service.session.Dispatcher.handle` returns as they are
+and the result cache shares.  Any other ``results`` value goes through
+``json.dumps`` whole.  The table holds at most
+:data:`ADDRESS_TEXTS_MAX` entries and empties when full.
 """
 
 from __future__ import annotations
@@ -34,7 +51,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 from typing import Optional, Tuple
+
+from ..corpus.executor import ResultRows
 
 __all__ = [
     "MAX_FRAME",
@@ -60,6 +80,10 @@ __all__ = [
 
 #: Hard cap on one frame's JSON body (1 MiB) — enforced by both ends.
 MAX_FRAME = 1 << 20
+
+#: Most node-address texts the encoder keeps; the table empties when
+#: full.  One scan response names a few thousand distinct addresses.
+ADDRESS_TEXTS_MAX = 16_384
 
 #: Struct format of the length prefix: 4-byte big-endian unsigned.
 _PREFIX = struct.Struct(">I")
@@ -118,11 +142,78 @@ class ServiceError(Exception):
 # -- encoding ----------------------------------------------------------------
 
 
+#: ``_JSON.encode(value)`` is ``json.dumps(value, ensure_ascii=False,
+#: separators=(",", ":"))``, without building an encoder per call.
+_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+class _AddressTexts(dict):
+    """Node address (or address pair) → its JSON text, filled on first
+    sight.  Lookups need no lock; a miss inserts under one, so the
+    bound holds while threads share the table."""
+
+    __slots__ = ()
+
+    def __missing__(self, address) -> str:
+        text = _JSON.encode(address)
+        with _ADDRESS_TEXTS_LOCK:
+            if len(self) >= ADDRESS_TEXTS_MAX:
+                self.clear()
+            self[address] = text
+        return text
+
+
+_ADDRESS_TEXTS = _AddressTexts()
+_ADDRESS_TEXTS_LOCK = threading.Lock()
+_address_text = _ADDRESS_TEXTS.__getitem__
+
+
+def _cell_text(cell) -> str:
+    if cell is True:
+        return "true"
+    if cell is False:
+        return "false"
+    if type(cell) is not tuple:
+        return _JSON.encode(cell)
+    if not cell:
+        return "[]"
+    return f"[{','.join(map(_address_text, cell))}]"
+
+
+def _rows_text(rows: ResultRows) -> str:
+    return "[" + ",".join(
+        [f"[{','.join(map(_cell_text, row))}]" for row in rows]
+    ) + "]"
+
+
+def _payload_text(payload) -> str:
+    """``_JSON.encode(payload)``, with executor rows under ``results``
+    written from cached address texts.  A dict's JSON is its items'
+    texts joined by commas inside braces, and each item's text depends
+    on that item alone, so encoding the items before and after
+    ``results`` apart and splicing the rows' text between them writes
+    the same bytes."""
+    rows = payload.get("results") if isinstance(payload, dict) else None
+    if type(rows) is not ResultRows:
+        return _JSON.encode(payload)
+    before, after = {}, {}
+    side = before
+    for key, value in payload.items():
+        if isinstance(key, str) and key == "results":
+            side = after
+        else:
+            side[key] = value
+    parts = (
+        _JSON.encode(before)[1:-1],
+        '"results":' + _rows_text(rows),
+        _JSON.encode(after)[1:-1],
+    )
+    return "{" + ",".join(filter(None, parts)) + "}"
+
+
 def encode_frame(payload: dict) -> bytes:
     """One wire frame for ``payload``: length prefix + compact JSON."""
-    body = json.dumps(
-        payload, ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
+    body = _payload_text(payload).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(
             f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}"

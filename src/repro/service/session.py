@@ -41,6 +41,7 @@ from ..corpus.executor import ENGINES, BatchResult, plan_queries
 from ..corpus.query import KINDS, CorpusQuery
 from ..resilience.errors import ParseError, ReproError, ResourceExhausted
 from ..resilience.faults import Fault
+from ..trees.tree import TreeError
 from .admission import AdmissionController
 from .cache import ResultCache
 from .protocol import (
@@ -243,6 +244,15 @@ class Dispatcher:
             if cache_key is not None:
                 self.result_cache.put(cache_key, response)
             return response
+        except TreeError as exc:
+            # A context names a node by its address: a tree of the
+            # window that lacks it is the request's mistake.
+            if not any(query.context for query in queries):
+                raise
+            raise _bad_request(
+                f"a query context is not a node of every tree in "
+                f"[{start}, {stop_at}): {exc}"
+            ) from exc
         finally:
             ticket.settle(actual_steps)
 
@@ -262,8 +272,15 @@ class Dispatcher:
             if not isinstance(text, str):
                 raise _bad_request("query text must be a string")
             context = item.get("context", [])
-            if not isinstance(context, list):
-                raise _bad_request("query context must be an array")
+            if not isinstance(context, list) or not all(
+                isinstance(step, int)
+                and not isinstance(step, bool)
+                and step >= 0
+                for step in context
+            ):
+                raise _bad_request(
+                    "query context must be an array of non-negative integers"
+                )
             queries.append(CorpusQuery(kind, text, tuple(context)))
         return queries
 
@@ -324,9 +341,9 @@ class Dispatcher:
             self._counters["cells_answered"] += (
                 result.tree_count * len(result.queries)
             )
-        # The rows go out as they are: tuples all the way down, which
-        # ``json.dumps`` writes as arrays, so the frame is the same as
-        # for lists, and a cached response cannot be changed in place.
+        # The rows go out as they are: ``ResultRows``, tuples all the
+        # way down, so a cached response cannot be changed in place,
+        # and ``encode_frame`` writes them from cached address texts.
         return ok_response(
             results=result.rows,
             trees=result.tree_count,
@@ -410,9 +427,16 @@ def _bad_request(message: str) -> ServiceError:
 
 
 def _int_option(options: dict, key: str, default):
+    """``options[key]`` as an int.  JSON numbers may arrive as floats:
+    integral ones (``10.0``) are taken, others (``1.5``, and the ``NaN``
+    and ``Infinity`` Python's json reads) refused."""
     value = options.get(key, default)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad_request(f"option {key!r} must be a number")
+    if isinstance(value, float) and not value.is_integer():
+        raise _bad_request(
+            f"option {key!r} must be a whole number, got {value!r}"
+        )
     return int(value)

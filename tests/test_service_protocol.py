@@ -1,12 +1,18 @@
 """The service wire protocol in isolation: framing round-trips, the
-size cap binds at both ends, torn input is detected, and the error
-envelope carries its closed code set."""
+size cap binds at both ends, torn input is detected, the error
+envelope carries its closed code set, and every frame is byte for byte
+``json.dumps`` of its payload however its result rows are written."""
 
+import json
 import socket
+import sys
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.corpus.executor import ResultRows
 from repro.service import protocol
 
 
@@ -143,3 +149,137 @@ class TestErrorEnvelope:
             "PARSE_ERROR", "RESOURCE_EXHAUSTED", "DEADLINE",
             "OVERLOADED", "BAD_REQUEST", "INTERNAL", "SHUTDOWN",
         }
+
+
+def _dumped(payload) -> bytes:
+    """The frame body every payload must encode to."""
+    return json.dumps(
+        payload, ensure_ascii=False, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _body(payload) -> bytes:
+    frame = protocol.encode_frame(payload)
+    assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
+    return frame[4:]
+
+
+#: Executor-shaped result cells: bools, node sets (tuples of int
+#: addresses, the root being ``()``) and sets of address pairs.
+_addresses = st.lists(st.integers(0, 12), max_size=5).map(tuple)
+_cells = st.one_of(
+    st.booleans(),
+    st.lists(_addresses, max_size=6).map(tuple),
+    st.lists(st.tuples(_addresses, _addresses), max_size=4).map(tuple),
+)
+_rows = st.lists(st.lists(_cells, max_size=4).map(tuple), max_size=6)
+#: Whatever else a payload may hold: non-ASCII text, floats (NaN and
+#: infinities included), ``None``, nested dicts and lists.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+_keys = st.one_of(
+    st.text(max_size=8), st.integers(), st.floats(), st.booleans(), st.none()
+)
+
+
+@st.composite
+def _payloads(draw):
+    """A dict of extras with ``results`` at any position, or none: the
+    executor's marked rows, the same rows unmarked, or any JSON value."""
+    items = list(draw(st.dictionaries(_keys, _json_values, max_size=5)).items())
+    results = draw(
+        st.one_of(
+            _rows.map(lambda rows: ResultRows(rows)),
+            _rows.map(tuple),
+            _rows,
+            _json_values,
+        )
+    )
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), ("results", results))
+    return dict(items)
+
+
+class TestResultEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(_payloads())
+    def test_every_frame_is_the_json_dumps_bytes(self, payload):
+        assert _body(payload) == _dumped(payload)
+
+    def test_executor_rows_are_written_from_the_address_table(self):
+        rows = ResultRows([(True, ((), (0, 7)), (((0,), (0, 7, 1)),))])
+        assert _body({"ok": True, "results": rows}) == _dumped(
+            {"ok": True, "results": rows}
+        )
+        assert protocol._ADDRESS_TEXTS[(0, 7)] == "[0,7]"
+        assert protocol._ADDRESS_TEXTS[((0,), (0, 7, 1))] == "[[0],[0,7,1]]"
+
+    def test_an_equal_address_of_other_types_is_written_as_itself(self):
+        """Python hashes ``(0, 1)``, ``(0, True)`` and ``(0, 1.0)`` alike
+        and finds them equal, so the table must not serve hand-built
+        results: they go through ``json.dumps`` whole."""
+        seen = {"results": ResultRows([(((0, 1), (1,)),)])}
+        assert _body(seen) == b'{"results":[[[[0,1],[1]]]]}'
+        assert (0, 1) in protocol._ADDRESS_TEXTS
+        assert (1,) in protocol._ADDRESS_TEXTS
+        for results in (
+            ((((0, True), (1.0,)),),),
+            [[[(0, True), (1.0,)]]],
+        ):
+            payload = {"ok": True, "results": results}
+            assert _body(payload) == _dumped(payload)
+            assert b"[0,true]" in _body(payload)
+            assert b"[1.0]" in _body(payload)
+
+    def test_more_distinct_addresses_than_the_table_holds(self):
+        side = 1 + int(protocol.ADDRESS_TEXTS_MAX ** 0.5)
+        assert side * side > protocol.ADDRESS_TEXTS_MAX
+        rows = ResultRows(
+            (tuple((i, j) for j in range(side)),) for i in range(side)
+        )
+        payload = {"ok": True, "results": rows, "trees": side}
+        assert _body(payload) == _dumped(payload)
+        assert len(protocol._ADDRESS_TEXTS) <= protocol.ADDRESS_TEXTS_MAX
+
+    def test_threads_sharing_a_small_table_write_exact_frames(
+        self, monkeypatch
+    ):
+        """Four threads encode rows of addresses no other thread uses
+        while the table, bounded at 16 entries, keeps emptying: every
+        frame must still be exact, and the bound must hold."""
+        monkeypatch.setattr(protocol, "ADDRESS_TEXTS_MAX", 16)
+        mismatches = []
+
+        def encode(thread):
+            for round_ in range(400):
+                rows = ResultRows(
+                    (
+                        tuple((thread, round_, i) for i in range(k)),
+                        k % 2 == 0,
+                        (((thread,), (round_, k)),),
+                    )
+                    for k in range(6)
+                )
+                payload = {"ok": True, "results": rows, "round": round_}
+                if _body(payload) != _dumped(payload):
+                    mismatches.append((thread, round_))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=encode, args=(t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(protocol._ADDRESS_TEXTS) <= 16

@@ -17,6 +17,7 @@ import copy
 import pytest
 
 from repro.corpus import CorpusStore, TreeCorpus
+from repro.corpus.executor import ResultRows
 from repro.service import Dispatcher, ResultCache
 from repro.trees.generators import random_tree
 
@@ -111,6 +112,10 @@ def test_replay_is_cached_with_identical_results(tmp_path):
         assert replay["cached"] is True
         assert replay["results"] == first["results"]
         assert replay["trees"] == first["trees"]
+        # A hit shares the executor's rows, so its frame is written from
+        # cached address texts too.
+        assert type(replay["results"]) is ResultRows
+        assert replay["results"] is first["results"]
 
 
 def test_what_callers_do_with_a_response_never_reaches_the_next_hit(

@@ -245,6 +245,117 @@ class TestDispatcher:
         ]
         assert errors == {"BAD_REQUEST": 1}
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            '{"start": NaN}',
+            '{"stop": Infinity}',
+            '{"start": 1.5}',
+            '{"timeout_ms": -Infinity}',
+            '{"budget_steps": NaN}',
+        ],
+    )
+    def test_options_that_are_not_whole_numbers_are_bad_requests(
+        self, dispatcher, options
+    ):
+        """Python's json reads ``NaN`` and ``Infinity``; like a
+        fractional window bound, they are refused before pricing and
+        admission and counted as BAD_REQUEST, not INTERNAL."""
+        session = dispatcher.open_session()
+        request = decode_payload(
+            (
+                '{"op": "query", "queries": [{"kind": "xpath", '
+                '"text": "//δ"}], "options": ' + options + "}"
+            ).encode("utf-8")
+        )
+        response = dispatcher.handle(request, session)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "BAD_REQUEST"
+        assert "whole number" in response["error"]["message"]
+        assert dispatcher.admission.counters()["admitted"] == 0
+        errors = dispatcher.handle({"op": "stats"}, session)["service"][
+            "errors"
+        ]
+        assert errors == {"BAD_REQUEST": 1}
+
+    def test_integral_float_options_are_taken(self, corpus, dispatcher):
+        response = dispatcher.handle(
+            {
+                "op": "query",
+                "queries": [{"kind": "xpath", "text": "//δ"}],
+                "options": {"start": 1.0, "stop": 3.0, "timeout_ms": 500.0},
+            },
+            dispatcher.open_session(),
+        )
+        assert response["ok"] is True
+        expected = _expected_rows(corpus, [xpath_query("//δ")])
+        assert _received(response)["results"] == expected[1:3]
+
+    @pytest.mark.parametrize(
+        "context", [[[0]], ["a"], [-1], [True], [0.0]]
+    )
+    def test_malformed_contexts_are_bad_requests(self, corpus, context):
+        """A context is an array of non-negative integers.  With the
+        result cache on, a nested array once failed while building the
+        cache key; the others failed in the engines."""
+        dispatcher = Dispatcher(corpus, result_cache=8)
+        session = dispatcher.open_session()
+        response = dispatcher.handle(
+            {
+                "op": "query",
+                "queries": [
+                    {"kind": "xpath", "text": "//δ", "context": context}
+                ],
+            },
+            session,
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "BAD_REQUEST"
+        assert "context" in response["error"]["message"]
+        assert dispatcher.admission.counters()["admitted"] == 0
+        errors = dispatcher.handle({"op": "stats"}, session)["service"][
+            "errors"
+        ]
+        assert errors == {"BAD_REQUEST": 1}
+
+    @pytest.mark.parametrize("kind", ["xpath", "select", "caterpillar"])
+    def test_a_context_some_tree_lacks_is_a_bad_request(self, kind):
+        """``(0, 5)`` is a node of no tree in this window: the request
+        is refused as BAD_REQUEST naming the node, the session goes on,
+        and a context every tree has still answers."""
+        text = {
+            "xpath": "//δ",
+            "select": "x << y & O_δ(y)",
+            "caterpillar": "(down)* <δ>",
+        }[kind]
+        with TreeCorpus.random(6, max_size=20, seed=3) as corpus:
+            dispatcher = Dispatcher(corpus, result_cache=8)
+            session = dispatcher.open_session()
+            response = dispatcher.handle(
+                {
+                    "op": "query",
+                    "queries": [
+                        {"kind": kind, "text": text, "context": [0, 5]}
+                    ],
+                },
+                session,
+            )
+            assert response["ok"] is False
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert "(0, 5)" in response["error"]["message"]
+            good = dispatcher.handle(
+                {
+                    "op": "query",
+                    "queries": [{"kind": kind, "text": text, "context": []}],
+                },
+                session,
+            )
+            assert good["ok"] is True
+            errors = dispatcher.handle({"op": "stats"}, session)["service"][
+                "errors"
+            ]
+            assert errors == {"BAD_REQUEST": 1}
+
     def test_fault_injection_is_rejected_unless_enabled(self, dispatcher):
         session = dispatcher.open_session()
         response = dispatcher.handle(
