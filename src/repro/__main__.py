@@ -539,7 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trees per chunk")
     p_corpus.add_argument("--engine",
                           choices=ENGINES,
-                          default="fast")
+                          default="fast",
+                          help="every root-context query with an IR plan "
+                          "runs in the stacked shard pass under every "
+                          "engine but reference; fast (the default) and "
+                          "vectorized (the same) run the rest on the fast "
+                          "per-tree evaluators, auto on the planner's "
+                          "per-query pick")
     p_corpus.add_argument("--stats", action="store_true",
                           help="print the per-chunk execution report")
     p_corpus.set_defaults(func=_cmd_corpus)

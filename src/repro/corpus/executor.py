@@ -10,14 +10,17 @@ of the corpus:
 * each chunk evaluates its trees in order, building (or adopting) each
   tree's :class:`~repro.engine.index.TreeIndex` once and running every
   query against it — never once per (query, tree) cell;
-* where a chunk's indexes come from follows what is on disk, not the
-  engine name: a store chunk whose segment has a valid index sidecar,
-  and whose queries all have shared-IR plans, answers every query from
-  the sidecar's :class:`~repro.engine.index.PackedIndex` lanes in one
-  stacked pass and loads no tree — under ``fast``, ``vectorized`` and
-  every ``auto`` pick alike.  An explicit ``reference`` batch, a chunk
-  holding any query without an IR plan, and a missing or invalid
-  sidecar run on trees; :attr:`ChunkReport.source` says which ran;
+* the query, not the engine name, picks the evaluator: every query
+  with a root-anchored IR plan runs in one stacked shard pass over the
+  whole chunk, under every engine but an explicit ``reference``, and
+  only the rest run tree by tree (on ``auto``'s per-query pick);
+* where a chunk's indexes come from follows what is on disk: a store
+  chunk whose segment has a valid index sidecar, and whose queries all
+  have IR plans, stacks the sidecar's
+  :class:`~repro.engine.index.PackedIndex` lanes and loads no tree.  A
+  missing or invalid sidecar, a query without an IR plan and a
+  ``reference`` batch load trees; :attr:`ChunkReport.source` says
+  which ran;
 * with ``workers > 0`` chunks are fanned out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Workers inherit
   the already-compiled plans when the platform forks; otherwise each
@@ -61,9 +64,6 @@ from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..caching import KeyedLRU
-from ..engine import fo as fast_fo
-from ..engine import walk as engine_walk
-from ..engine import xpath as fast_xpath
 from ..engine.index import (
     IndexFormatError,
     PackedIndex,
@@ -73,16 +73,8 @@ from ..engine.index import (
 )
 from ..engine.ir import StackedShard, evaluate_shard
 from ..engine.planner import Plan, default_planner
-from ..engine.plans import (
-    compile_caterpillar_plan,
-    compile_ir_plan,
-    compile_select_plan,
-    compile_sentence_plan,
-    compile_walk_plan,
-    compile_xpath_plan,
-)
+from ..engine.plans import compile_ir_plan, dialect_for
 from ..engine.stats import CorpusStatistics, corpus_statistics
-from ..logic import tree_fo
 from ..resilience.budget import Budget, ExecutionContext, activate
 from ..resilience.errors import EngineError, ResourceExhausted
 from ..resilience.faults import Fault, FaultInjector
@@ -95,19 +87,16 @@ __all__ = [
     "plan_queries",
 ]
 
-#: Engines a batch can run on.  ``"fast"`` is the indexed set-at-a-time
-#: path with per-chunk reference degradation; ``"reference"`` runs the
-#: node-at-a-time evaluators directly (the oracle's other half);
-#: ``"vectorized"`` runs each chunk's root-context queries as ONE
-#: shared-IR plan over the whole chunk at once — every tree packed into
-#: its own lane of one wide integer (:mod:`repro.engine.ir`), with
-#: per-tree fallback for queries outside the IR fragment; ``"auto"``
-#: lets the cost-based planner pick per query from the corpus's
-#: aggregate statistics (:mod:`repro.engine.planner`), and runs every
-#: fast pick that has an IR plan in the vectorized pass.  The name
-#: picks the evaluator only on trees: a store chunk with a valid index
-#: sidecar whose queries all have IR plans runs from the sidecar's
-#: lanes under every engine but ``"reference"``.
+#: Engines a batch can run on.  Every query with a root-anchored IR
+#: plan runs in the stacked shard pass — every tree of a chunk packed
+#: into its own lane of one wide integer (:mod:`repro.engine.ir`) —
+#: under every engine but ``"reference"``; the names decide only the
+#: rest.  ``"fast"`` runs them on the indexed per-tree evaluators, with
+#: per-chunk reference degradation; ``"vectorized"`` means what
+#: ``"fast"`` means; ``"auto"`` lets the cost-based planner pick fast
+#: or reference per query from the corpus's aggregate statistics
+#: (:mod:`repro.engine.planner`); ``"reference"`` runs every cell on
+#: the node-at-a-time evaluators (the oracle's other half).
 ENGINES = ("fast", "reference", "auto", "vectorized")
 
 
@@ -118,12 +107,14 @@ class ChunkReport:
 
     ``steps`` is the budget fuel the chunk's successful attempt spent
     (0 when it ran without a budget) — the query service reconciles
-    per-session quotas against it.  A stacked pass (every lane-served
-    chunk) checkpoints once per plan step for the whole chunk, not once
-    per tree, so it spends far fewer.  ``retries`` counts worker-death
-    resubmissions that preceded the answer.  ``source`` names where the
-    chunk's indexes came from: ``"lanes"`` — its segment's index
-    sidecar, with no tree loaded — or ``"trees"``."""
+    per-session quotas against it.  The stacked pass checkpoints once
+    per plan step for the whole chunk, not once per tree, and runs
+    every query with an IR plan whatever the engine name, so steps
+    follow one rule on every chunk source: a chunk of the same trees
+    spends the same from trees as from lanes.  ``retries`` counts
+    worker-death resubmissions that preceded the answer.  ``source``
+    names where the chunk's indexes came from: ``"lanes"`` — its
+    segment's index sidecar, with no tree loaded — or ``"trees"``."""
 
     index: int
     start: int
@@ -196,27 +187,7 @@ class BatchResult:
 def compile_query(query: CorpusQuery) -> object:
     """Force-compile one query's plan (shared cache); raises
     :class:`ParseError` on malformed text."""
-    if query.kind == "xpath":
-        return compile_xpath_plan(query.text)
-    if query.kind == "ask":
-        return compile_sentence_plan(query.text)
-    if query.kind == "select":
-        return compile_select_plan(query.text)
-    if query.kind == "caterpillar":
-        return compile_caterpillar_plan(query.text)
-    return compile_walk_plan(query.text)[0]
-
-
-def _planner_parsed(query: CorpusQuery) -> Optional[object]:
-    """The parsed object the planner's cost model wants for ``query``
-    (``None`` for the walk kinds — it compiles those itself)."""
-    if query.kind == "xpath":
-        return compile_xpath_plan(query.text)
-    if query.kind == "ask":
-        return compile_sentence_plan(query.text)
-    if query.kind == "select":
-        return compile_select_plan(query.text).formula
-    return None
+    return dialect_for(query.kind).parse(query.text)
 
 
 def plan_queries(
@@ -227,7 +198,7 @@ def plan_queries(
     planner = default_planner()
     return tuple(
         planner.plan_for_stats(
-            query.kind, query.text, stats, parsed=_planner_parsed(query)
+            query.kind, query.text, stats, parsed=compile_query(query)
         )
         for query in queries
     )
@@ -236,51 +207,16 @@ def plan_queries(
 def evaluate_cell(query: CorpusQuery, tree: Tree, engine: str = "fast"):
     """One (query, tree) cell, canonicalised: node tuples in document
     order, plain bools, or sorted pair tuples — byte-comparable across
-    engines and picklable across processes."""
+    engines and picklable across processes.  ``vectorized`` means what
+    ``fast`` means; ``auto`` asks the planner against this tree."""
+    dialect = dialect_for(query.kind)
+    parsed = dialect.parse(query.text)
     if engine == "auto":
-        plan = default_planner().plan_for_tree(
-            query.kind, query.text, tree, parsed=_planner_parsed(query)
-        )
-        return evaluate_cell(query, tree, plan.engine)
-    if engine == "vectorized":
-        engine = "fast"  # one cell has no shard to stack across
-    if engine == "fast":
-        if query.kind == "xpath":
-            return fast_xpath.select(
-                compile_xpath_plan(query.text), tree, query.context
-            )
-        if query.kind == "ask":
-            return fast_fo.evaluate(compile_sentence_plan(query.text), tree)
-        if query.kind == "select":
-            plan = compile_select_plan(query.text)
-            return fast_fo.select(
-                plan.formula, tree, query.context, plan.x, plan.y
-            )
-        if query.kind == "caterpillar":
-            expr, _ = compile_walk_plan(query.text)
-            return engine_walk.walk(expr, tree, query.context)
-        expr, _ = compile_walk_plan(query.text)
-        return tuple(sorted(engine_walk.relation(expr, tree)))
-    from ..caterpillar import nfa as reference_walk
-    from ..xpath.evaluator import select as reference_xpath_select
-
-    if query.kind == "xpath":
-        return reference_xpath_select(
-            compile_xpath_plan(query.text), tree, query.context
-        )
-    if query.kind == "ask":
-        return tree_fo.evaluate(compile_sentence_plan(query.text), tree)
-    if query.kind == "select":
-        return compile_select_plan(query.text).select(tree, query.context)
-    if query.kind == "caterpillar":
-        return reference_walk.walk(
-            compile_caterpillar_plan(query.text), tree, query.context
-        )
-    return tuple(
-        sorted(reference_walk.relation(
-            compile_caterpillar_plan(query.text), tree
-        ))
-    )
+        engine = default_planner().plan_for_tree(
+            query.kind, query.text, tree, parsed=parsed
+        ).engine
+    evaluate = dialect.reference if engine == "reference" else dialect.fast
+    return evaluate(parsed, tree, query.context)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +389,17 @@ def _lane_shard(shard: Shard) -> Optional[StackedShard]:
     return stacked
 
 
-def _reads_indexes(engine: Union[str, Tuple[str, ...]]) -> bool:
-    """Does a chunk on ``engine`` (one name, or one per query) read
-    tree indexes?  Only the reference evaluators read none."""
+def _reads_indexes(
+    queries: Sequence[CorpusQuery], engine: Union[str, Tuple[str, ...]]
+) -> bool:
+    """Does a chunk of ``queries`` on ``engine`` (one name, or one per
+    query) read tree indexes?  Only the reference evaluators read none:
+    an explicit ``reference`` batch, or ``auto`` reference picks
+    without an IR plan."""
     picks = engine if isinstance(engine, tuple) else (engine,)
-    return any(pick != "reference" for pick in picks)
+    return any(pick != "reference" for pick in picks) or bool(
+        _stacked_plans(queries, engine)
+    )
 
 
 def _warm_chunk(
@@ -519,30 +461,25 @@ def _ir_batch_plan(query: CorpusQuery):
     """The query's shared-IR plan for the stacked shard pass, or
     ``None`` when it cannot ride it: non-root contexts, the all-pairs
     relation kind, or a formula outside the IR fragment."""
-    if query.context != () or query.kind == "caterpillar-relation":
+    if query.context != ():
         return None
     return compile_ir_plan(query.kind, query.text)
 
 
 def _stacked_plans(
     queries: Sequence[CorpusQuery], engine: Union[str, Tuple[str, ...]]
-) -> Tuple[List[str], Dict[int, object]]:
-    """Each query's engine, and position → IR plan for the queries the
-    stacked shard pass runs: those routed ``"vectorized"`` that fit
-    the IR.  The rest of the vectorized ones quietly go per-tree
-    ``"fast"``."""
-    engines = list(
-        engine if isinstance(engine, tuple) else (engine,) * len(queries)
-    )
+) -> Dict[int, object]:
+    """Position → IR plan for the queries the stacked shard pass runs:
+    every query with an IR plan, whatever the engine name, unless the
+    batch is an explicit ``reference`` one."""
+    if engine == "reference":
+        return {}
     plans: Dict[int, object] = {}
-    for position, (query, chosen) in enumerate(zip(queries, engines)):
-        if chosen == "vectorized":
-            plan = _ir_batch_plan(query)
-            if plan is None:
-                engines[position] = "fast"
-            else:
-                plans[position] = plan
-    return engines, plans
+    for position, query in enumerate(queries):
+        plan = _ir_batch_plan(query)
+        if plan is not None:
+            plans[position] = plan
+    return plans
 
 
 def _evaluate_rows(
@@ -552,8 +489,9 @@ def _evaluate_rows(
     indexes: Optional[Sequence[TreeIndex]],
     shard: Optional[StackedShard] = None,
 ) -> Tuple[Tuple[object, ...], ...]:
-    """One chunk's cells: one stacked shard pass for the queries routed
-    to it, then the tree-outer, query-inner sweep for the rest.
+    """One chunk's cells: one stacked shard pass for every query with an
+    IR plan (none in a ``reference`` batch), then the tree-outer,
+    query-inner sweep for the rest, each on its engine.
 
     With ``trees``, ``indexes`` holds the chunk's pinned
     :class:`TreeIndex` objects, adopted tree by tree (``None``: built
@@ -561,7 +499,7 @@ def _evaluate_rows(
     from them, each tree in its own bit lane.  Without trees, ``shard``
     is a lane-served chunk's shard, stacked from :class:`PackedIndex`
     lanes straight from a sidecar, and every query must ride it."""
-    engines, plans = _stacked_plans(queries, engine)
+    plans = _stacked_plans(queries, engine)
     if trees is not None:
         for query in queries:
             compile_query(query)
@@ -584,6 +522,9 @@ def _evaluate_rows(
             # Every cell came from the shard: the rows are its columns,
             # transposed, with no per-tree work left to do.
             return tuple(zip(*(columns[q] for q in range(len(queries)))))
+    engines = (
+        engine if isinstance(engine, tuple) else (engine,) * len(queries)
+    )
     rows = []
     for position in range(len(trees) if trees is not None else shard.lanes):
         tree = None
@@ -634,18 +575,18 @@ def _run_chunk(task: ChunkTask):
     started = time.perf_counter()
     trees = indexes = shard = None
     # A store chunk with a valid sidecar whose queries all have IR
-    # plans takes its lanes straight from the sidecar bytes, whatever
-    # the engine name — no unpickling, no index builds.
+    # plans takes its lanes straight from the sidecar bytes — no
+    # unpickling, no index builds.
+    queries, engine = task.queries, task.engine
     if (
         task.shard is not None
         and task.shard.sidecar is not None
-        and task.engine != "reference"
+        and engine != "reference"
+        and len(_stacked_plans(queries, engine)) == len(queries)
     ):
-        _, plans = _stacked_plans(task.queries, "vectorized")
-        if len(plans) == len(task.queries):
-            shard = _lane_shard(task.shard)
+        shard = _lane_shard(task.shard)
     if shard is None:
-        loaded = _chunk_trees(task, _reads_indexes(task.engine))
+        loaded = _chunk_trees(task, _reads_indexes(queries, engine))
         if loaded is None:  # e.g. a fresh worker after a pool restart
             return _CACHE_MISS, None
         trees, indexes = loaded
@@ -653,7 +594,7 @@ def _run_chunk(task: ChunkTask):
     # applies only when exhaustion is the caller's verdict
     # (``on_exhausted="raise"`` — the query service's deadline path)
     # and it ignores injected faults.
-    reference = task.engine == "reference"
+    reference = engine == "reference"
     budget = None
     if (task.budget_steps is not None or task.budget_seconds is not None) and (
         not reference or task.on_exhausted == "raise"
@@ -672,9 +613,7 @@ def _run_chunk(task: ChunkTask):
     try:
         with context:
             rows = _evaluate_rows(
-                trees, task.queries,
-                "vectorized" if shard is not None else task.engine,
-                indexes, shard,
+                trees, queries, engine, indexes, shard
             )
     except (ResourceExhausted, EngineError) as exc:
         if reference or (
@@ -693,7 +632,7 @@ def _run_chunk(task: ChunkTask):
         )
     return rows, ChunkReport(
         task.index, task.start, task.stop,
-        "auto" if isinstance(task.engine, tuple) else task.engine,
+        "auto" if isinstance(engine, tuple) else engine,
         False, None, time.perf_counter() - started,
         steps=budget.steps if budget is not None else 0,
         source="lanes" if shard is not None else "trees",
@@ -770,13 +709,15 @@ def run_batch(
     and fall back to a parent-side run if the worker lost its state;
     leave it ``None`` for ad-hoc calls.
 
-    ``engine="auto"`` resolves each query to its planner-chosen engine
-    against the corpus statistics (``stats`` when supplied — as
+    Every query with a root-anchored IR plan runs in each chunk's
+    stacked shard pass unless ``engine="reference"``; ``"vectorized"``
+    means what ``"fast"`` means.  ``engine="auto"`` resolves each query
+    to its planner-chosen engine against the corpus statistics
+    (``stats`` when supplied — as
     :meth:`~repro.corpus.TreeCorpus.statistics` caches — else computed
-    here), records the decisions on ``BatchResult.plans``, and runs the
-    batch with that per-query mix, every fast pick that has an IR plan
-    in the stacked pass whatever the chunk's size; the per-chunk
-    degrade contract is unchanged.
+    here) and records the decisions on ``BatchResult.plans``; a pick
+    decides only a query without an IR plan.  The per-chunk degrade
+    contract is unchanged.
 
     ``bounds`` overrides the automatic chunking with explicit
     ``[start, stop)`` intervals (as :class:`~repro.corpus.CorpusStore`
@@ -785,12 +726,11 @@ def run_batch(
     serial or fanned out: chunks ship *no trees at all* and each worker
     (or the parent, serially) loads only its own shard's byte range;
     ``trees`` is then unused and ``bounds`` required.  The index source
-    follows the sidecar, not the engine name: when the shard names a
-    valid index sidecar and every query has an IR plan, the chunk runs
-    every query from the sidecar's lanes and skips tree and index
-    materialization entirely (:func:`_shard_lanes`) — under ``fast``,
-    ``vectorized`` and every ``auto`` pick; only an explicit
-    ``reference`` batch keeps its trees.
+    follows the sidecar: when the shard names a valid index sidecar and
+    every query has an IR plan, the chunk stacks the sidecar's lanes
+    and skips tree and index materialization entirely
+    (:func:`_shard_lanes`); only an explicit ``reference`` batch keeps
+    its trees.
 
     The service-facing knobs: ``budget_seconds`` adds a wall-clock
     deadline to each chunk's budget (cancelling work cooperatively at
@@ -831,18 +771,7 @@ def run_batch(
         if stats is None:
             stats = corpus_statistics(trees)
         plans = plan_queries(queries, stats)
-        # The planner priced fast vs reference per query; the stacked
-        # shard pass does the same bitset work as the fast path but
-        # interprets each plan once per chunk instead of once per tree,
-        # so every fast pick that fits the IR runs "vectorized" on
-        # trees.  (A chunk served from sidecar lanes runs every pick
-        # from them.)
-        chunk_engine = tuple(
-            "vectorized"
-            if plan.engine == "fast" and _ir_batch_plan(query) is not None
-            else plan.engine
-            for query, plan in zip(queries, plans)
-        )
+        chunk_engine = tuple(plan.engine for plan in plans)
     faults = faults or {}
     tasks = [
         ChunkTask(

@@ -13,8 +13,8 @@ address tuples.  The index trades one O(n) construction pass for
   interval containment (``u < v < subtree_end[u]``) and a descendant
   *axis* is a range mask — the Gottlob–Koch–Schulz move of evaluating
   over indexed structure instead of raw addresses;
-* **navigation arrays**: parent, CSR children slices, sibling links
-  and depth;
+* **navigation arrays**: parent, CSR children slices and sibling
+  links;
 * **inverted indexes**: label → bitset and attribute-value → bitset,
   making every unary atom of the FO vocabulary a single dict lookup;
 * **move graphs**: set-at-a-time images of the four walking atoms
@@ -77,7 +77,6 @@ class TreeIndex:
         "id_of",
         "parent",
         "subtree_end",
-        "depth",
         "child_start",
         "child_ids",
         "children_mask",
@@ -105,7 +104,6 @@ class TreeIndex:
 
         parent: List[int] = [-1] * n
         subtree_end: List[int] = [0] * n
-        depth: List[int] = [0] * n
         next_sibling: List[int] = [-1] * n
         prev_sibling: List[int] = [-1] * n
         child_start: List[int] = [0] * (n + 1)
@@ -125,7 +123,6 @@ class TreeIndex:
             for kid in kids:
                 j = id_of[kid]
                 parent[j] = i
-                depth[j] = depth[i] + 1
                 child_ids.append(j)
                 mask |= 1 << j
                 if previous >= 0:
@@ -143,7 +140,6 @@ class TreeIndex:
 
         self.parent = parent
         self.subtree_end = subtree_end
-        self.depth = depth
         self.child_start = child_start
         self.child_ids = child_ids
         self.children_mask = children_mask
@@ -632,7 +628,6 @@ def repair_index(
     new_children = new_tree._children
     preindex = new_tree._preorder_index
     parent_mid = [-1] * new_size          # absolute ids, parent_mid[0] ≡ u
-    depth_mid = [0] * new_size
     next_mid = [-1] * new_size
     prev_mid = [-1] * new_size
     child_start_mid = [0] * new_size
@@ -641,7 +636,6 @@ def repair_index(
     leaf_bits = 0
     first_bits = 0
     last_bits = 0
-    depth_mid[0] = old.depth[u]
     parent_mid[0] = old.parent[u]  # always below the site, id unchanged
     for i in range(u, new_end):
         k = i - u
@@ -654,7 +648,6 @@ def repair_index(
         for kid in kids:
             j = preindex[kid]
             parent_mid[j - u] = i
-            depth_mid[j - u] = depth_mid[k] + 1
             child_ids_mid.append(j)
             mask |= 1 << j
             if previous >= 0:
@@ -729,7 +722,6 @@ def repair_index(
         ]
 
     repaired.parent = old.parent[:u] + parent_mid + parent_suffix
-    repaired.depth = old.depth[:u] + depth_mid + old.depth[old_end:]
     end_prefix = old.subtree_end[:u]
     next_prefix = old.next_sibling[:u]
     if delta:

@@ -47,12 +47,13 @@ tree-walking automaton, a query from a context node is the same
 program started elsewhere.  :func:`tree_plan` caches those plans by the
 parsed query's identity.
 
-Lowering is *partial*: :func:`lower_query` returns ``None`` for
-constructs outside the IR (value atoms, quantifiers linking two
-variables through more than one binary atom, shadowed selector
-variables), and callers fall back to the dialect's own evaluator — the
-fallback path the differential oracle keeps honest.  XPath and
-caterpillar lowering is total.
+Lowering is *partial*: :func:`lower_sentence` and :func:`lower_select`
+return ``None`` for constructs outside the IR (value atoms, quantifiers
+linking two variables through more than one binary atom, shadowed
+selector variables), and callers fall back to the dialect's own
+evaluator — the fallback path the differential oracle keeps honest.
+XPath and caterpillar lowering is total.  Which lowering serves which
+query kind is one row each of :data:`repro.engine.plans.DIALECTS`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ __all__ = [
     "lower_sentence",
     "lower_select",
     "lower_caterpillar",
-    "lower_query",
 ]
 
 
@@ -1002,28 +1002,6 @@ def lower_caterpillar(compiled, stats=None, anchor: str = "root") -> Plan:
         )
     )
     return builder.plan(result, "nodes")
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def lower_query(kind: str, parsed, stats=None) -> Optional[Plan]:
-    """Lower one corpus query (already parsed by
-    :mod:`repro.engine.plans`) for evaluation from the root, the
-    corpus contract.  Returns ``None`` when the query is outside the
-    IR fragment — callers fall back to the dialect evaluator."""
-    if kind == "xpath":
-        return lower_xpath(parsed, stats)
-    if kind == "ask":
-        return lower_sentence(parsed, stats)
-    if kind == "select":
-        return lower_select(parsed.formula, parsed.x, parsed.y, stats)
-    if kind == "caterpillar":
-        _, compiled = parsed
-        return lower_caterpillar(compiled, stats)
-    return None  # caterpillar-relation: per-tree all-pairs stays put
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from ..logic import tree_fo
-from ..logic.parser import format_formula, parse_query, parse_sentence
+from ..logic.parser import format_formula
 from ..logic.tree_fo import (
     And,
     Desc,
@@ -67,7 +67,7 @@ from ..resilience.log import ResilienceLog
 from ..trees.tree import Tree
 from ..xpath import ast as xp
 from .index import index_for
-from .plans import cached_query_plan, compile_walk_plan, compile_xpath_plan
+from .plans import cached_query_plan, dialect_for
 from .stats import (
     DEFAULT_SAMPLE_SIZE,
     CardinalityEstimator,
@@ -193,7 +193,10 @@ class Planner:
         parsed: Optional[object] = None,
     ) -> Plan:
         """Plan ``(kind, text)`` against one tree: exact popcounts and
-        sampled join selectivities off the tree's index."""
+        sampled join selectivities off the tree's index.  ``parsed`` is
+        the query's parsed form as its dialect's ``parse`` returns it
+        (:data:`repro.engine.plans.DIALECTS`), parsed here when
+        ``None``."""
         stats = tree_statistics(tree)
         return self._plan(
             kind,
@@ -325,29 +328,23 @@ def _model_costs(
     est: Optional[CardinalityEstimator],
     parsed: Optional[object],
 ) -> Tuple[float, float, float]:
-    """``(fast_cost, reference_cost, estimated_rows)`` for one query."""
-    if kind == "xpath":
-        expr = parsed if parsed is not None else compile_xpath_plan(text)
-        return _xpath_costs(expr, profile, est)
-    if kind == "ask":
-        formula = parsed if parsed is not None else parse_sentence(text)
-        return _fo_costs(formula, profile, est, result_arity=0)
-    if kind == "select":
-        if parsed is not None:
-            formula = parsed
-        else:
-            formula = parse_query(text).formula
-        return _fo_costs(formula, profile, est, result_arity=1)
+    """``(fast_cost, reference_cost, estimated_rows)`` for one query.
+    ``parsed`` is the query's parsed form (parsed from ``text`` through
+    its dialect when ``None``), or the raw formula of kind
+    ``"formula"``."""
     if kind == "formula":
         if parsed is None:
             raise ValueError("kind='formula' requires the parsed formula")
         return _fo_costs(parsed, profile, est, result_arity=None)
-    if kind in ("caterpillar", "caterpillar-relation"):
-        _, compiled = compile_walk_plan(text)
-        return _walk_costs(
-            compiled, profile, kind == "caterpillar-relation"
+    dialect = dialect_for(kind)
+    costed = dialect.costed(dialect.parse(text) if parsed is None else parsed)
+    if kind == "xpath":
+        return _xpath_costs(costed, profile, est)
+    if kind in ("ask", "select"):
+        return _fo_costs(
+            costed, profile, est, result_arity=0 if kind == "ask" else 1
         )
-    raise ValueError(f"unknown query kind {kind!r}")
+    return _walk_costs(costed, profile, kind == "caterpillar-relation")
 
 
 # -- XPath -------------------------------------------------------------------

@@ -19,14 +19,17 @@ in **one** process-wide :class:`~repro.caching.KeyedLRU` keyed by
     text → binary :class:`~repro.logic.exists_star.ExistsStarQuery`
     (``TreeDatabase.select_where`` semantics).
 ``compile_caterpillar_plan``
-    text → caterpillar AST (parse only — what the reference walker
-    needs, and all the facade memoises).
-``compile_walk_plan``
-    text → ``(ast, CompiledWalk)`` — parse *plus* the ε-closed NFA
-    compilation, the fast walking engine's full plan.
+    text → caterpillar AST (both walk kinds; the fast walking engine
+    compiles its NFA through :func:`repro.engine.walk.compile_walk`).
 ``compile_ir_plan``
     ``(kind, text)`` → the root-anchored :class:`~repro.engine.ir.Plan`
     the stacked corpus pass runs, or ``None`` outside the IR.
+
+:data:`DIALECTS` is the one dispatch table over query kinds: per kind,
+one :class:`Dialect` row holding its cached parse, its root-anchored
+lowering, its fast and reference per-tree evaluators and what the
+planner prices.  The corpus executor, the planner and the
+``TreeDatabase`` facade all read it.
 
 The per-tree evaluators keep their context-anchored plans apart
 (:func:`repro.engine.ir.tree_plan`), keyed by the parsed object's
@@ -41,26 +44,43 @@ see :meth:`repro.caching.KeyedLRU.get_or_compute`).
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from ..caching import CacheInfo, KeyedLRU
+from ..caterpillar import nfa as reference_walk
 from ..caterpillar.ast import Caterpillar
 from ..caterpillar.parser import parse_caterpillar
+from ..logic import tree_fo
 from ..logic.exists_star import ExistsStarQuery
 from ..logic.parser import parse_query, parse_sentence
 from ..logic.tree_fo import TreeFormula
+from ..trees.node import NodeId
+from ..trees.tree import Tree
+from ..xpath import evaluator as reference_xpath
 from ..xpath.ast import Expr
 from ..xpath.parser import parse_xpath
-from .ir import lower_query, tree_plan_clear
-from .walk import CompiledWalk, compile_walk
+from . import fo as fast_fo
+from . import walk as fast_walk
+from . import xpath as fast_xpath
+from .ir import (
+    Plan,
+    lower_caterpillar,
+    lower_select,
+    lower_sentence,
+    lower_xpath,
+    tree_plan_clear,
+)
 
 __all__ = [
     "PLAN_CACHE_SIZE",
+    "Dialect",
+    "DIALECTS",
+    "dialect_for",
     "compile_xpath_plan",
     "compile_sentence_plan",
     "compile_select_plan",
     "compile_caterpillar_plan",
-    "compile_walk_plan",
     "compile_ir_plan",
     "cached_query_plan",
     "plan_cache_info",
@@ -103,27 +123,100 @@ def compile_caterpillar_plan(text: str) -> Caterpillar:
     )
 
 
-def _walk_plan(text: str) -> Tuple[Caterpillar, CompiledWalk]:
-    expr = compile_caterpillar_plan(text)
-    return expr, compile_walk(expr)
+@dataclass(frozen=True)
+class Dialect:
+    """One query kind's row of the dispatch table.
+
+    ``parse`` maps query text to its parsed form through the shared
+    cache.  ``lower(parsed, stats)`` is the root-anchored IR plan the
+    stacked corpus pass runs, ``None`` outside the IR.  ``fast`` and
+    ``reference`` answer one tree from a context node, both as
+    ``(parsed, tree, context)`` → canonical cell: node tuples in
+    document order, plain bools, or sorted pair tuples.  ``costed``
+    maps the parsed form to what the planner's cost model prices."""
+
+    kind: str
+    parse: Callable[[str], object]
+    lower: Callable[[object, object], Optional[Plan]]
+    fast: Callable[[object, Tree, NodeId], object]
+    reference: Callable[[object, Tree, NodeId], object]
+    costed: Callable[[object], object]
 
 
-def compile_walk_plan(text: str) -> Tuple[Caterpillar, CompiledWalk]:
-    """``(ast, CompiledWalk)`` for ``text`` — the fast walking engine's
-    whole tree-independent plan, shared process-wide."""
-    return _PLAN_CACHE.get_or_compute(("walk", text), lambda: _walk_plan(text))
+def _itself(parsed):
+    return parsed
 
 
-def _parsed_for_ir(kind: str, text: str):
-    if kind == "xpath":
-        return compile_xpath_plan(text)
-    if kind == "ask":
-        return compile_sentence_plan(text)
-    if kind == "select":
-        return compile_select_plan(text)
-    if kind in ("caterpillar", "caterpillar-relation"):
-        return compile_walk_plan(text)
-    raise ValueError(f"unknown query kind {kind!r}")
+DIALECTS: Dict[str, Dialect] = {
+    dialect.kind: dialect
+    for dialect in (
+        Dialect(
+            "xpath",
+            parse=compile_xpath_plan,
+            lower=lower_xpath,
+            fast=fast_xpath.select,
+            reference=reference_xpath.select,
+            costed=_itself,
+        ),
+        Dialect(
+            "ask",
+            parse=compile_sentence_plan,
+            lower=lower_sentence,
+            fast=lambda formula, tree, context: fast_fo.evaluate(
+                formula, tree
+            ),
+            reference=lambda formula, tree, context: tree_fo.evaluate(
+                formula, tree
+            ),
+            costed=_itself,
+        ),
+        Dialect(
+            "select",
+            parse=compile_select_plan,
+            lower=lambda query, stats: lower_select(
+                query.formula, query.x, query.y, stats
+            ),
+            fast=lambda query, tree, context: fast_fo.select(
+                query.formula, tree, context, query.x, query.y
+            ),
+            reference=lambda query, tree, context: query.select(
+                tree, context
+            ),
+            costed=lambda query: query.formula,
+        ),
+        Dialect(
+            "caterpillar",
+            parse=compile_caterpillar_plan,
+            lower=lambda expr, stats: lower_caterpillar(
+                fast_walk.compile_walk(expr), stats
+            ),
+            fast=fast_walk.walk,
+            reference=reference_walk.walk,
+            costed=fast_walk.compile_walk,
+        ),
+        Dialect(
+            "caterpillar-relation",
+            parse=compile_caterpillar_plan,
+            # The all-pairs relation stays on the per-tree engines.
+            lower=lambda expr, stats: None,
+            fast=lambda expr, tree, context: tuple(
+                sorted(fast_walk.relation(expr, tree))
+            ),
+            reference=lambda expr, tree, context: tuple(
+                sorted(reference_walk.relation(expr, tree))
+            ),
+            costed=fast_walk.compile_walk,
+        ),
+    )
+}
+
+
+def dialect_for(kind: str) -> Dialect:
+    """The :class:`Dialect` row of ``kind``."""
+    try:
+        return DIALECTS[kind]
+    except KeyError:
+        raise ValueError(f"unknown query kind {kind!r}") from None
 
 
 def compile_ir_plan(kind: str, text: str, stats=None, parsed=None):
@@ -139,9 +232,11 @@ def compile_ir_plan(kind: str, text: str, stats=None, parsed=None):
     """
     fingerprint = None if stats is None else stats.fingerprint
 
+    dialect = dialect_for(kind)
+
     def build():
-        ast = _parsed_for_ir(kind, text) if parsed is None else parsed
-        return (lower_query(kind, ast, stats),)
+        ast = dialect.parse(text) if parsed is None else parsed
+        return (dialect.lower(ast, stats),)
 
     return _PLAN_CACHE.get_or_compute(
         ("ir", kind, text, fingerprint), build

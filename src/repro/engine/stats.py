@@ -13,13 +13,13 @@ before it runs anything:
 * **cardinality estimates** — how many rows an intermediate join
   produces.  Per-label and per-value counts are free popcounts off the
   :class:`~repro.engine.index.TreeIndex` inverted indexes; *join*
-  selectivities (how many (ancestor, descendant) or (parent, child)
-  pairs survive two unary predicates) use wander-join-style random
-  sampling: draw source nodes uniformly, count each one's
-  continuations exactly against the interval/CSR structure, and scale
-  by the inverse sampling probability.  When the sample covers the
-  whole population the estimate is exact — the property the estimator
-  test battery pins down on degenerate trees.
+  selectivities (how many (ancestor, descendant) pairs survive two
+  unary predicates) use wander-join-style random sampling: draw source
+  nodes uniformly, count each one's continuations exactly against the
+  interval structure, and scale by the inverse sampling probability.
+  When the sample covers the whole population the estimate is exact —
+  the property the estimator test battery pins down on degenerate
+  trees.
 
 Everything here is deterministic under a fixed seed: the sampler is a
 private ``random.Random(seed)`` and the tree statistics are pure
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..caching import KeyedLRU
 from ..trees.tree import Tree
@@ -189,8 +189,7 @@ def _mean(values: Sequence[float]) -> float:
 
 def closure_reach_estimate(profile, directions: Iterable[str]) -> float:
     """Expected per-source image size of ``directions``:sup:`*` from
-    profile statistics alone — the planner's index-free counterpart of
-    :meth:`CardinalityEstimator.closure_pair_count`.
+    profile statistics alone — what the planner's walk costs read.
 
     The closed forms lean on two one-pass identities: the mean depth of
     a uniform node equals ``avg_subtree`` (so a pure ``up*`` chain has
@@ -261,11 +260,10 @@ class CardinalityEstimator:
     Unary predicates are exact (popcounts over the inverted indexes).
     Binary joins are estimated by sampling: draw up to ``sample_size``
     source nodes uniformly from the left predicate's population, count
-    each source's continuations *exactly* against the interval labels
-    (descendant joins) or CSR children (child joins), and scale the
-    total by ``population / sample``.  When the population fits in the
-    sample the walk degenerates to an exact count — so estimates are
-    exact on small inputs by construction.
+    each source's continuations *exactly* against the interval labels,
+    and scale the total by ``population / sample``.  When the
+    population fits in the sample the walk degenerates to an exact
+    count — so estimates are exact on small inputs by construction.
 
     Deterministic per seed: two estimators with the same seed issuing
     the same call sequence return identical numbers.
@@ -294,10 +292,6 @@ class CardinalityEstimator:
         """Exact number of σ-labelled nodes."""
         return bit_count(self.index.labelled(label))
 
-    def selectivity(self, mask: int) -> float:
-        """Fraction of the domain a bitset covers."""
-        return bit_count(mask) / self.index.n if self.index.n else 0.0
-
     # -- sampled binary joins ----------------------------------------------
 
     def _sampled_sources(self, mask: int) -> Tuple[Sequence[int], float]:
@@ -325,16 +319,6 @@ class CardinalityEstimator:
         )
         return round(hits * scale)
 
-    def child_pairs(self, parents: int, children: int) -> int:
-        """Estimated ``|{(u, v) : u ∈ P, v ∈ C, E(u, v)}|`` — same
-        sampling discipline over the CSR children masks."""
-        if not parents or not children:
-            return 0
-        children_mask = self.index.children_mask
-        chosen, scale = self._sampled_sources(parents)
-        hits = sum(bit_count(children & children_mask[u]) for u in chosen)
-        return round(hits * scale)
-
     def value_join(self, attr_left: str, attr_right: str) -> int:
         """Estimated ``|{(u, v) : val_a(u) = val_b(v)}|`` off the
         value inverted indexes — the tables are small, so this is an
@@ -353,125 +337,3 @@ class CardinalityEstimator:
         if not idx.n:
             return 0.0
         return self.descendant_pairs(idx.all_mask, idx.all_mask) / idx.n
-
-    def random_walk_depth(self, walks: Optional[int] = None) -> float:
-        """Mean length of a random root-to-leaf walk over the CSR
-        children arrays — how deep a blind downward run travels, the
-        classic wander-join random descent."""
-        idx = self.index
-        if not idx.n:
-            return 0.0
-        walks = self.sample_size if walks is None else max(1, walks)
-        children_of = idx.children_of
-        total = 0
-        for _ in range(walks):
-            u, steps = 0, 0
-            kids = children_of(u)
-            while kids:
-                u = kids[self._rng.randrange(len(kids))]
-                steps += 1
-                kids = children_of(u)
-            total += steps
-        return total / walks
-
-    # -- closure reachability (caterpillar-style direction stars) ----------
-
-    def _closure_counter(self, dirs: frozenset):
-        """Per-source exact image size of ``dirs``:sup:`*` — O(1) where
-        the preorder layout gives a closed form, a chain walk for lone
-        spines, a per-source saturation otherwise."""
-        idx = self.index
-        if dirs == {"up"}:
-            depth = idx.depth
-            return lambda u: depth[u] + 1
-        if "down" in dirs and "right" in dirs and "up" not in dirs:
-            # (down|right)* from u sweeps u's subtree, then each right
-            # sibling's — one contiguous preorder interval ending at the
-            # parent's subtree end.  Adding "left" extends the interval
-            # back to the first sibling: the parent's whole proper
-            # subtree.
-            parent = idx.parent
-            subtree_end = idx.subtree_end
-            if "left" in dirs:
-                def count(u: int) -> int:
-                    p = parent[u]
-                    if p < 0:
-                        return idx.n
-                    return subtree_end[p] - p - 1
-            else:
-                def count(u: int) -> int:
-                    p = parent[u]
-                    end = idx.n if p < 0 else subtree_end[p]
-                    return end - u
-            return count
-        steps = []
-        if dirs == {"down"}:
-            child_start, child_ids = idx.child_start, idx.child_ids
-            steps = [
-                lambda u: child_ids[child_start[u]]
-                if child_start[u] < child_start[u + 1]
-                else -1
-            ]
-        elif dirs == {"right"}:
-            steps = [idx.next_sibling.__getitem__]
-        elif dirs == {"left"}:
-            steps = [idx.prev_sibling.__getitem__]
-        if len(steps) == 1:
-            step = steps[0]
-
-            def chain(u: int) -> int:
-                length = 1
-                v = step(u)
-                while v >= 0:
-                    length += 1
-                    v = step(v)
-                return length
-
-            return chain
-        moves = [idx.moves[d] for d in sorted(dirs)]
-
-        def saturate(u: int) -> int:
-            seen = 1 << u
-            frontier = seen
-            while frontier:
-                image = 0
-                for move in moves:
-                    image |= move(frontier)
-                frontier = image & ~seen
-                seen |= frontier
-            return bit_count(seen)
-
-        return saturate
-
-    def closure_pair_count(self, sources: int, directions) -> int:
-        """Estimated ``|{(u, v) : u ∈ S, v ∈ dirs*(u)}|`` — reflexive
-        reachability pairs under a caterpillar-style direction star,
-        with the usual wander-join discipline: exact per sampled source,
-        scaled by the inverse sampling probability, and therefore exact
-        outright when ``|S| ≤ sample_size``."""
-        if not sources:
-            return 0
-        dirs = frozenset(directions)
-        if not dirs:
-            return bit_count(sources)
-        counter = self._closure_counter(dirs)
-        chosen, scale = self._sampled_sources(sources)
-        return round(sum(counter(u) for u in chosen) * scale)
-
-    def closure_image_size(self, sources: int, directions) -> int:
-        """Exact ``|dirs*(S)|`` — one set-at-a-time saturation over the
-        move graphs (cheap: every round is a handful of big-int shifts),
-        kept exact rather than sampled because images overlap."""
-        if not sources:
-            return 0
-        dirs = frozenset(directions)
-        seen = sources
-        frontier = sources
-        moves = [self.index.moves[d] for d in sorted(dirs)]
-        while frontier:
-            image = 0
-            for move in moves:
-                image |= move(frontier)
-            frontier = image & ~seen
-            seen |= frontier
-        return bit_count(seen)

@@ -48,7 +48,6 @@ from .pairs import (
     FOVsFastFO,
     Outcome,
     RunnerVsMemo,
-    VectorizedVsSequential,
     XPathVsCaterpillar,
     NTWAVsFastCaterpillar,
     XPathVsFastXPath,
@@ -69,7 +68,6 @@ __all__ = [
     "Outcome",
     "PairStats",
     "RunnerVsMemo",
-    "VectorizedVsSequential",
     "XPathVsCaterpillar",
     "NTWAVsFastCaterpillar",
     "XPathVsFastXPath",

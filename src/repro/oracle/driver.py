@@ -29,7 +29,6 @@ from .pairs import (
     Outcome,
     RunnerVsMemo,
     StoreVsSequential,
-    VectorizedVsSequential,
     XPathVsCaterpillar,
     XPathVsFastXPath,
     XPathVsFO,
@@ -39,7 +38,7 @@ from .shrink import shrink_case
 
 
 def default_pairs() -> Tuple[EnginePair, ...]:
-    """All fourteen engine pairs, in a stable order."""
+    """All thirteen engine pairs, in a stable order."""
     return (
         XPathVsFO(),
         XPathVsCaterpillar(),
@@ -53,7 +52,6 @@ def default_pairs() -> Tuple[EnginePair, ...]:
         CaterpillarVsFastCaterpillar(),
         NTWAVsFastCaterpillar(),
         CorpusVsSequential(),
-        VectorizedVsSequential(),
         StoreVsSequential(),
     )
 

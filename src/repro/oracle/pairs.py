@@ -4,7 +4,7 @@ Each :class:`EnginePair` knows how to *generate* a random (tree, query)
 case, *check* it through two independent evaluation routes, *shrink* the
 query part, and *encode*/*decode* the query as JSON for the corpus.
 
-The fourteen pairs and the equivalence each one guards:
+The thirteen pairs and the equivalence each one guards:
 
 ==============================  ====================================================
 ``xpath/fo``                    XPath evaluator vs its FO(∃*) compilation (§2.3),
@@ -36,11 +36,11 @@ The fourteen pairs and the equivalence each one guards:
                                 per-start acceptance equals per-start
                                 nonemptiness of the walk from that node
 ``corpus/sequential``           the set-at-a-time corpus batch executor
-                                (:mod:`repro.corpus`) vs a loop of single-tree
+                                (:mod:`repro.corpus`), whose stacked shard pass
+                                packs every tree of a chunk into one wide
+                                integer per IR op, vs a loop of single-tree
                                 facade calls, element-wise, under two chunkings
-``vectorized/sequential``       the stacked shard executor — every tree of a
-                                chunk packed into one wide integer per IR op —
-                                vs the same per-tree loop, under two chunkings
+                                and ``engine="auto"``
 ``store/sequential``            a disk-backed :class:`~repro.corpus.CorpusStore`
                                 batch (segment files, mmap-lazy loading) vs the
                                 in-memory per-tree loop, under two chunkings
@@ -1021,97 +1021,16 @@ def _sequential_answers(
         elif query.kind == "caterpillar":
             out.append(db.caterpillar(query.text, query.context))
         else:  # caterpillar-relation
-            out.append(tuple(sorted(db.caterpillar_relation(query.text))))
+            out.append(db.caterpillar_relation(query.text))
     return tuple(out)
 
 
-class CorpusVsSequential(EnginePair):
-    """The set-at-a-time corpus batch vs a loop of single-tree calls.
-
-    A generated tree is split at the root into member trees; one random
-    query (XPath, closed FO sentence, or caterpillar walk/relation) is
-    then answered two ways: a per-tree loop through the
-    :class:`TreeDatabase` facade, and one :func:`repro.corpus.run_batch`
-    call — under both single-tree chunks and the default chunking, so
-    chunk reassembly is on the line as well as evaluation.  The batch
-    must be element-wise identical to the loop."""
-
-    name = "corpus/sequential"
-
-    KINDS = ("xpath", "ask", "caterpillar", "caterpillar-relation")
-
-    def generate(self, rng: random.Random, max_size: int) -> Case:
-        tree = gen.random_attributed_tree(rng, max_size)
-        kind = rng.choice(self.KINDS)
-        if kind == "xpath":
-            text = repr(gen.random_xpath(rng))
-        elif kind == "ask":
-            text = format_formula(gen.random_fo_sentence(rng))
-        else:
-            text = format_caterpillar(
-                gen.random_caterpillar(rng, budget=rng.randint(2, 6))
-            )
-        from ..corpus.query import CorpusQuery
-
-        return Case(tree, CorpusQuery(kind, text))
-
-    def check(self, case: Case) -> Outcome:
-        from ..corpus.executor import run_batch
-
-        query = case.query
-        members = _corpus_members(case.tree)
-        left, left_s = _timed(lambda: _sequential_answers(members, query))
-        right, right_s = _timed(
-            lambda: run_batch(members, [query], chunk_size=1).for_query(0)
-        )
-        if left != right:
-            return Outcome(False, str(left), str(right), left_s, right_s)
-        rechunked = run_batch(members, [query]).for_query(0)
-        return Outcome(
-            left == rechunked, str(left), str(rechunked), left_s, right_s
-        )
-
-    def shrink_query(self, query) -> Iterable[object]:
-        from ..corpus.query import CorpusQuery
-
-        if query.kind == "xpath":
-            for smaller in _shrink_xpath(parse_xpath(query.text)):
-                yield CorpusQuery("xpath", repr(smaller))
-        elif query.kind == "ask":
-            for smaller in _shrink_formula(parse_formula(query.text)):
-                if not tree_fo.free_variables(smaller):  # ask needs a sentence
-                    yield CorpusQuery("ask", format_formula(smaller))
-        else:
-            for smaller in _shrink_caterpillar(parse_caterpillar(query.text)):
-                yield CorpusQuery(query.kind, format_caterpillar(smaller))
-
-    def encode_query(self, query) -> object:
-        return {"kind": query.kind, "text": query.text}
-
-    def decode_query(self, payload: object):
-        from ..corpus.query import CorpusQuery
-
-        return CorpusQuery(payload["kind"], payload["text"])
-
-# ---------------------------------------------------------------------------
-# vectorized/sequential
-# ---------------------------------------------------------------------------
-
-
-class VectorizedVsSequential(EnginePair):
-    """The stacked shard executor vs a loop of single-tree calls.
-
-    Same corpus splitting as ``corpus/sequential``, but the batch side
-    runs ``engine="vectorized"``: every member tree packed into its own
-    bit lane of one wide integer and the query's shared IR plan
-    evaluated once across the whole chunk
-    (:mod:`repro.engine.ir`).  All five query kinds are on the line —
-    including FO(∃*) selection, and the all-pairs relation kind, whose
-    per-tree fallback inside the vectorized path must splice cleanly
-    into the stacked columns.  Both single-tree chunks (every lane
-    width degenerate) and the default chunking are checked."""
-
-    name = "vectorized/sequential"
+class _BatchVsSequential(EnginePair):
+    """The shared half of the batch pairs: a generated tree is split at
+    the root into member trees, and one random query of any of the five
+    kinds is answered by a per-tree loop through the
+    :class:`TreeDatabase` facade on one side and by a batch on the
+    other; the batch must be element-wise identical to the loop."""
 
     KINDS = ("xpath", "ask", "select", "caterpillar", "caterpillar-relation")
 
@@ -1131,26 +1050,6 @@ class VectorizedVsSequential(EnginePair):
         from ..corpus.query import CorpusQuery
 
         return Case(tree, CorpusQuery(kind, text))
-
-    def check(self, case: Case) -> Outcome:
-        from ..corpus.executor import run_batch
-
-        query = case.query
-        members = _corpus_members(case.tree)
-        left, left_s = _timed(lambda: _sequential_answers(members, query))
-        right, right_s = _timed(
-            lambda: run_batch(
-                members, [query], chunk_size=1, engine="vectorized"
-            ).for_query(0)
-        )
-        if left != right:
-            return Outcome(False, str(left), str(right), left_s, right_s)
-        rechunked = run_batch(
-            members, [query], engine="vectorized"
-        ).for_query(0)
-        return Outcome(
-            left == rechunked, str(left), str(rechunked), left_s, right_s
-        )
 
     def shrink_query(self, query) -> Iterable[object]:
         from ..corpus.query import CorpusQuery
@@ -1182,12 +1081,45 @@ class VectorizedVsSequential(EnginePair):
         return CorpusQuery(payload["kind"], payload["text"])
 
 
+class CorpusVsSequential(_BatchVsSequential):
+    """The set-at-a-time corpus batch vs a loop of single-tree calls.
+
+    The batch side is one :func:`repro.corpus.run_batch` call over the
+    member trees, under single-tree chunks (every stacked lane width
+    degenerate) and the default chunking, so chunk reassembly is on the
+    line as well as evaluation, and once more under ``engine="auto"``,
+    whose picks decide only queries without an IR plan.  Every query
+    with a root-anchored IR plan rides the stacked shard pass — every
+    member tree packed into its own bit lane of one wide integer — and
+    the rest, the all-pairs relation kind included, run per tree and
+    splice into the stacked columns."""
+
+    name = "corpus/sequential"
+
+    def check(self, case: Case) -> Outcome:
+        from ..corpus.executor import run_batch
+
+        query = case.query
+        members = _corpus_members(case.tree)
+        left, left_s = _timed(lambda: _sequential_answers(members, query))
+        right, right_s = _timed(
+            lambda: run_batch(members, [query], chunk_size=1).for_query(0)
+        )
+        if left != right:
+            return Outcome(False, str(left), str(right), left_s, right_s)
+        for options in ({}, {"engine": "auto"}):
+            again = run_batch(members, [query], **options).for_query(0)
+            if left != again:
+                break
+        return Outcome(left == again, str(left), str(again), left_s, right_s)
+
+
 # ---------------------------------------------------------------------------
 # store/sequential
 # ---------------------------------------------------------------------------
 
 
-class StoreVsSequential(EnginePair):
+class StoreVsSequential(_BatchVsSequential):
     """A disk-backed store batch vs a loop of single-tree calls.
 
     Same corpus splitting as ``corpus/sequential``, but the batch side
@@ -1204,25 +1136,6 @@ class StoreVsSequential(EnginePair):
     against the in-memory loop."""
 
     name = "store/sequential"
-
-    KINDS = ("xpath", "ask", "select", "caterpillar", "caterpillar-relation")
-
-    def generate(self, rng: random.Random, max_size: int) -> Case:
-        tree = gen.random_attributed_tree(rng, max_size)
-        kind = rng.choice(self.KINDS)
-        if kind == "xpath":
-            text = repr(gen.random_xpath(rng))
-        elif kind == "ask":
-            text = format_formula(gen.random_fo_sentence(rng))
-        elif kind == "select":
-            text = format_formula(gen.random_exists_star(rng))
-        else:
-            text = format_caterpillar(
-                gen.random_caterpillar(rng, budget=rng.randint(2, 6))
-            )
-        from ..corpus.query import CorpusQuery
-
-        return Case(tree, CorpusQuery(kind, text))
 
     def check(self, case: Case) -> Outcome:
         import shutil
@@ -1257,32 +1170,3 @@ class StoreVsSequential(EnginePair):
             )
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-
-    def shrink_query(self, query) -> Iterable[object]:
-        from ..corpus.query import CorpusQuery
-
-        if query.kind == "xpath":
-            for smaller in _shrink_xpath(parse_xpath(query.text)):
-                yield CorpusQuery("xpath", repr(smaller))
-        elif query.kind == "ask":
-            for smaller in _shrink_formula(parse_formula(query.text)):
-                if not tree_fo.free_variables(smaller):  # ask needs a sentence
-                    yield CorpusQuery("ask", format_formula(smaller))
-        elif query.kind == "select":
-            for smaller in _shrink_formula(parse_formula(query.text)):
-                try:  # selection needs the FO(∃*) fragment to survive
-                    ExistsStarQuery(smaller)
-                except FragmentError:
-                    continue
-                yield CorpusQuery("select", format_formula(smaller))
-        else:
-            for smaller in _shrink_caterpillar(parse_caterpillar(query.text)):
-                yield CorpusQuery(query.kind, format_caterpillar(smaller))
-
-    def encode_query(self, query) -> object:
-        return {"kind": query.kind, "text": query.text}
-
-    def decode_query(self, payload: object):
-        from ..corpus.query import CorpusQuery
-
-        return CorpusQuery(payload["kind"], payload["text"])

@@ -20,11 +20,10 @@ from ..automata.classes import TWClass, classify
 from ..automata.machine import TWAutomaton
 from ..automata.runner import RunResult, accepts, run
 from ..caching import CacheInfo, KeyedLRU
-from ..engine import fo as fast_fo
-from ..engine import xpath as fast_xpath
 from ..engine.index import TreeIndex, index_for
 from ..engine.planner import Plan, Planner, default_planner
 from ..engine.plans import (
+    DIALECTS,
     compile_caterpillar_plan,
     compile_select_plan,
     compile_sentence_plan,
@@ -44,7 +43,6 @@ from ..trees.parser import format_term, parse_term
 from ..trees.tree import Tree
 from ..trees.xmlio import from_xml, to_xml
 from ..xpath.compiler import compile_xpath
-from ..xpath.evaluator import select as xpath_select
 from ..xpath.parser import parse_xpath
 
 
@@ -189,6 +187,30 @@ class TreeDatabase:
                 return thunk()
         return thunk()
 
+    def _query(
+        self,
+        operation: str,
+        kind: str,
+        text: Optional[str],
+        parsed,
+        context: NodeId,
+        engine: str,
+        budget: Optional[Budget],
+    ):
+        """Run one ``kind`` query through :meth:`_dispatch` on the fast
+        and reference evaluators of its dialect row
+        (:data:`repro.engine.plans.DIALECTS`); ``text`` keys the
+        ``"auto"`` plan."""
+        dialect = DIALECTS[kind]
+        return self._dispatch(
+            operation,
+            lambda: dialect.fast(parsed, self.tree, context),
+            lambda: dialect.reference(parsed, self.tree, context),
+            engine,
+            budget,
+            plan_key=(kind, text, parsed),
+        )
+
     def resilience_info(self) -> Dict[str, object]:
         """Counters and incident history of the ``"resilient"`` engine —
         calls, fast successes, fallbacks, failures, per-operation stats,
@@ -234,14 +256,9 @@ class TreeDatabase:
         with fallback; all return the same nodes.  A ``budget`` bounds
         the work (see :class:`repro.resilience.Budget`)."""
         _check_engine(engine)
-        parsed = self._parsed(expression)
-        return self._dispatch(
-            "xpath",
-            lambda: fast_xpath.select(parsed, self.tree, context),
-            lambda: xpath_select(parsed, self.tree, context),
-            engine,
-            budget,
-            plan_key=("xpath", expression, parsed),
+        return self._query(
+            "xpath", "xpath", expression, self._parsed(expression), context,
+            engine, budget,
         )
 
     def _parsed(self, expression: str):
@@ -286,20 +303,12 @@ class TreeDatabase:
         _check_engine(engine)
         if budget is not None and budget.max_formula_size is not None:
             budget.check_formula_size(len(tree_fo.subformulas(sentence)))
-        plan_key = None
-        if engine == "auto":
-            if plan_text is None:
-                from ..logic.parser import format_formula
+        if engine == "auto" and plan_text is None:
+            from ..logic.parser import format_formula
 
-                plan_text = format_formula(sentence)
-            plan_key = ("ask", plan_text, sentence)
-        return self._dispatch(
-            "holds",
-            lambda: fast_fo.evaluate(sentence, self.tree),
-            lambda: tree_fo.evaluate(sentence, self.tree),
-            engine,
-            budget,
-            plan_key=plan_key,
+            plan_text = format_formula(sentence)
+        return self._query(
+            "holds", "ask", plan_text, sentence, (), engine, budget
         )
 
     def ask(
@@ -349,25 +358,15 @@ class TreeDatabase:
         _check_engine(engine)
         if budget is not None and budget.max_formula_size is not None:
             budget.check_formula_size(len(tree_fo.subformulas(query.formula)))
-        plan_key = None
-        if engine == "auto":
-            if plan_text is None:
-                from ..logic.parser import format_formula
+        if engine == "auto" and plan_text is None:
+            from ..logic.parser import format_formula
 
-                plan_text = (
-                    f"{format_formula(query.formula)}"
-                    f" @ {query.x.name},{query.y.name}"
-                )
-            plan_key = ("select", plan_text, query.formula)
-        return self._dispatch(
-            "select",
-            lambda: fast_fo.select(
-                query.formula, self.tree, context, query.x, query.y
-            ),
-            lambda: query.select(self.tree, context),
-            engine,
-            budget,
-            plan_key=plan_key,
+            plan_text = (
+                f"{format_formula(query.formula)}"
+                f" @ {query.x.name},{query.y.name}"
+            )
+        return self._query(
+            "select", "select", plan_text, query, context, engine, budget
         )
 
     # -- automata -----------------------------------------------------------------------
@@ -446,17 +445,9 @@ class TreeDatabase:
         Thompson NFA node-at-a-time; ``"resilient"`` runs fast with
         reference fallback.  All return the same nodes."""
         _check_engine(engine)
-        parsed = self._parsed_caterpillar(expression)
-        from ..caterpillar import walk
-        from ..engine import walk_select
-
-        return self._dispatch(
-            "caterpillar",
-            lambda: walk_select(parsed, self.tree, context),
-            lambda: walk(parsed, self.tree, context),
-            engine,
-            budget,
-            plan_key=("caterpillar", expression, None),
+        return self._query(
+            "caterpillar", "caterpillar", expression,
+            self._parsed_caterpillar(expression), context, engine, budget,
         )
 
     def caterpillar_relation(
@@ -465,21 +456,14 @@ class TreeDatabase:
         engine: str = "fast",
         budget: Optional[Budget] = None,
     ):
-        """The full denoted relation ⟦expression⟧ ⊆ Dom(t)² — the fast
-        engine computes it as one stacked product BFS over all start
-        nodes (:meth:`~repro.engine.walk.WalkEvaluator.all_pairs`)."""
+        """The full denoted relation ⟦expression⟧ ⊆ Dom(t)², as a sorted
+        tuple of ``(source, target)`` pairs — the fast engine computes
+        it as one stacked product BFS over all start nodes
+        (:meth:`~repro.engine.walk.WalkEvaluator.all_pairs`)."""
         _check_engine(engine)
-        parsed = self._parsed_caterpillar(expression)
-        from ..caterpillar import relation
-        from ..engine import walk_relation
-
-        return self._dispatch(
-            "caterpillar_relation",
-            lambda: walk_relation(parsed, self.tree),
-            lambda: relation(parsed, self.tree),
-            engine,
-            budget,
-            plan_key=("caterpillar-relation", expression, None),
+        return self._query(
+            "caterpillar_relation", "caterpillar-relation", expression,
+            self._parsed_caterpillar(expression), (), engine, budget,
         )
 
     def _parsed_caterpillar(self, expression: str):

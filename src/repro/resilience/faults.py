@@ -232,7 +232,7 @@ def _run(db, operation: str, query, engine: str):
     if operation == "caterpillar":
         return db.caterpillar(query, engine=engine)
     if operation == "caterpillar_relation":
-        return tuple(sorted(db.caterpillar_relation(query, engine=engine)))
+        return db.caterpillar_relation(query, engine=engine)
     # run_automaton: the specimen knows whether it needs delim(t)
     automaton, delimited = query.build()
     return db.run_automaton(automaton, delimited=delimited, engine=engine)

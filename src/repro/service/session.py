@@ -310,7 +310,7 @@ class Dispatcher:
                 )
             try:
                 faults[index] = Fault(
-                    at_checkpoint=int(spec.get("at", 1)), kind=kind
+                    at_checkpoint=_int_option(spec, "at", 1), kind=kind
                 )
             except (TypeError, ValueError) as exc:
                 raise _bad_request(f"bad fault spec: {exc}")

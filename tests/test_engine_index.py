@@ -58,7 +58,6 @@ def test_navigation_arrays_match_tree():
                 assert idx.parent[i] == -1
             else:
                 assert idx.node_of[idx.parent[i]] == tree.parent(u)
-            assert idx.depth[i] == len(u)
 
 
 def test_sibling_links(sigma_delta_tree):

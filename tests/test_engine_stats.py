@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.engine.index import bit_count, index_for, iter_bits
+from repro.engine.index import bit_count, index_for
 from repro.engine.stats import (
     CardinalityEstimator,
     TreeStatistics,
@@ -121,23 +121,19 @@ def test_join_estimates_exact_when_sample_covers_population(seed, size):
     assert est.descendant_pairs(
         index.all_mask, index.all_mask
     ) == _descendant_pairs_exact(tree)
-    # Every non-root node is one (parent, child) pair.
-    assert est.child_pairs(index.all_mask, index.all_mask) == index.n - 1
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 33, 64])
 def test_chain_descendant_pairs_closed_form(length):
-    """A chain of k nodes has exactly k(k-1)/2 descendant pairs and a
-    root-to-leaf walk of depth k-1, with no sampling variance while the
-    population fits the default sample."""
+    """A chain of k nodes has exactly k(k-1)/2 descendant pairs, with
+    no sampling variance while the population fits the default
+    sample."""
     tree = _chain(length)
     index = index_for(tree)
     est = CardinalityEstimator(index, sample_size=64)
     assert est.descendant_pairs(index.all_mask, index.all_mask) == (
         length * (length - 1) // 2
     )
-    assert est.child_pairs(index.all_mask, index.all_mask) == length - 1
-    assert est.random_walk_depth() == float(length - 1)
     stats = tree_statistics(tree)
     assert stats.avg_subtree == pytest.approx((length - 1) / 2)
     assert stats.label_fraction("σ") == 1.0  # single-label document
@@ -152,8 +148,6 @@ def test_star_pairs_closed_form(arms):
     est = CardinalityEstimator(index, sample_size=8)
     root_mask = index.all_mask & ~index.labelled("δ")
     assert est.descendant_pairs(root_mask, index.all_mask) == arms
-    assert est.child_pairs(root_mask, index.labelled("δ")) == arms
-    assert est.random_walk_depth() == 1.0
     assert est.label_count("δ") == arms
 
 
@@ -179,10 +173,6 @@ def test_undersampled_estimates_are_bounded_and_deterministic(seed):
     assert a.descendant_pairs(
         index.all_mask, index.all_mask
     ) == b.descendant_pairs(index.all_mask, index.all_mask)
-    assert a.child_pairs(index.all_mask, index.all_mask) == b.child_pairs(
-        index.all_mask, index.all_mask
-    )
-    assert a.random_walk_depth() == b.random_walk_depth()
 
 
 def test_sample_size_must_be_positive():
@@ -240,81 +230,11 @@ _DIRECTION_SETS = [
 ]
 
 
-def _brute_closure(idx, u, dirs):
-    """Reflexive dirs* image of one node, by naive graph search."""
-    step = {
-        "up": lambda v: [idx.parent[v]] if idx.parent[v] >= 0 else [],
-        "down": lambda v: (
-            [idx.child_ids[idx.child_start[v]]]
-            if idx.child_start[v] < idx.child_start[v + 1]
-            else []
-        ),
-        "right": lambda v: (
-            [idx.next_sibling[v]] if idx.next_sibling[v] >= 0 else []
-        ),
-        "left": lambda v: (
-            [idx.prev_sibling[v]] if idx.prev_sibling[v] >= 0 else []
-        ),
-    }
-    seen = {u}
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        for d in dirs:
-            for w in step[d](v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen
-
-
-@given(seeds, st.integers(min_value=1, max_value=30))
-@settings(max_examples=30, deadline=None)
-def test_closure_pair_count_exact_at_full_sample(seed, size):
-    """With the sample covering the population, every direction-set
-    closure pair count — O(1) interval forms, chain walks and the
-    saturation fallback alike — equals the brute-force reachability
-    count."""
-    tree = _tree(seed, size)
-    index = index_for(tree)
-    est = CardinalityEstimator(index, seed=seed, sample_size=index.n)
-    for dirs in _DIRECTION_SETS:
-        expected = sum(
-            len(_brute_closure(index, u, dirs)) for u in range(index.n)
-        )
-        assert est.closure_pair_count(index.all_mask, dirs) == expected
-
-
-@given(seeds, st.integers(min_value=1, max_value=30), st.integers(0, 2**30))
-@settings(max_examples=30, deadline=None)
-def test_closure_image_size_is_exact(seed, size, mask_bits):
-    tree = _tree(seed, size)
-    index = index_for(tree)
-    est = CardinalityEstimator(index)
-    sources = mask_bits & index.all_mask
-    for dirs in ({"up"}, {"down"}, {"down", "right"}, {"up", "left"}):
-        union = set()
-        for u in iter_bits(sources):
-            union |= _brute_closure(index, u, dirs)
-        assert est.closure_image_size(sources, dirs) == len(union)
-
-
 @pytest.mark.parametrize("length", [1, 2, 7, 33])
 def test_chain_closure_closed_forms(length):
-    """On a k-chain the spine closures have triangular pair counts and
-    the profile estimate recovers them from height alone."""
-    tree = _chain(length)
-    index = index_for(tree)
-    est = CardinalityEstimator(index, sample_size=64)
-    triangular = length * (length + 1) // 2
-    assert est.closure_pair_count(index.all_mask, {"down"}) == triangular
-    assert est.closure_pair_count(index.all_mask, {"up"}) == triangular
-    assert est.closure_pair_count(index.all_mask, {"right"}) == length
-    assert (
-        est.closure_pair_count(index.all_mask, {"down", "right"})
-        == triangular
-    )
-    stats = tree_statistics(tree)
+    """On a k-chain the profile estimate of the spine closures stays
+    within the spine, from height and mean depth alone."""
+    stats = tree_statistics(_chain(length))
     # down* on a chain is the worst case for the height/2 heuristic,
     # but it must stay within the spine bound.
     assert 1.0 <= closure_reach_estimate(stats, {"down"}) <= length
@@ -322,36 +242,6 @@ def test_chain_closure_closed_forms(length):
     assert closure_reach_estimate(stats, {"up"}) == pytest.approx(
         stats.avg_subtree + 1.0
     )
-
-
-@pytest.mark.parametrize("arms", [1, 5, 64])
-def test_star_closure_closed_forms(arms):
-    tree = _star(arms)
-    index = index_for(tree)
-    est = CardinalityEstimator(index, sample_size=index.n)
-    # right* from leaf i reaches arms - i leaves; the root only itself.
-    assert est.closure_pair_count(index.all_mask, {"right"}) == (
-        1 + arms * (arms + 1) // 2
-    )
-    # (down|right)* from the root sweeps everything; from leaf i, the
-    # trailing leaves.
-    assert est.closure_pair_count(index.all_mask, {"down", "right"}) == (
-        (arms + 1) + arms * (arms + 1) // 2
-    )
-    assert est.closure_image_size(1, {"down", "right"}) == arms + 1
-
-
-@given(seeds)
-@settings(max_examples=20, deadline=None)
-def test_closure_pair_count_deterministic_under_seed(seed):
-    tree = _tree(seed, 120)
-    index = index_for(tree)
-    a = CardinalityEstimator(index, seed=seed, sample_size=4)
-    b = CardinalityEstimator(index, seed=seed, sample_size=4)
-    for dirs in ({"down"}, {"down", "right"}, {"up", "right"}):
-        assert a.closure_pair_count(
-            index.all_mask, dirs
-        ) == b.closure_pair_count(index.all_mask, dirs)
 
 
 @given(seeds, sizes)

@@ -157,10 +157,10 @@ def test_pair_shrink_candidates_are_wellformed(pair):
 
 
 def test_run_oracle_round_robin_and_clean():
-    report = run_oracle(seed=0, budget=28, max_size=6)
-    assert report.total_cases() == 28
+    report = run_oracle(seed=0, budget=26, max_size=6)
+    assert report.total_cases() == 26
     assert report.total_disagreements() == 0
-    assert [s.cases for s in report.stats] == [2] * 14
+    assert [s.cases for s in report.stats] == [2] * 13
 
 
 def test_run_oracle_subset_of_pairs():

@@ -382,6 +382,28 @@ class TestDispatcher:
         )
         assert response["error"]["code"] == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("at", [1.5, True, "2"])
+    def test_fault_checkpoints_that_are_not_whole_numbers_are_bad_requests(
+        self, corpus, at
+    ):
+        """A fault's ``at`` is read like every numeric option: a
+        fraction, a bool or a numeric string is refused, not rounded
+        or coerced into a checkpoint."""
+        dispatcher = Dispatcher(corpus, allow_faults=True, workers=0)
+        session = dispatcher.open_session()
+        response = dispatcher.handle(
+            {
+                "op": "query",
+                "queries": [{"kind": "xpath", "text": "//δ"}],
+                "options": {"faults": {"0": {"at": at, "kind": "error"}}},
+            },
+            session,
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "BAD_REQUEST"
+        assert "'at'" in response["error"]["message"]
+        assert dispatcher.admission.counters()["admitted"] == 0
+
     def test_handle_never_raises_even_on_internal_bugs(self, dispatcher):
         session = dispatcher.open_session()
         dispatcher.corpus = None  # simulate a corrupted server state

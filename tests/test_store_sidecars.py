@@ -27,6 +27,7 @@ from repro.corpus import (
     CorpusStore,
     Sidecar,
     StoreError,
+    TreeCorpus,
     ask_query,
     caterpillar_query,
     caterpillar_relation_query,
@@ -480,6 +481,67 @@ def test_tree_path_cases_load_trees_with_identical_rows(
     assert loads["trees"] > 0
     if case != "reference":  # the reference engine builds no index
         assert loads["builds"] > 0
+
+
+@pytest.mark.parametrize("engine", ["fast", "vectorized", "auto"])
+def test_trees_and_lanes_report_the_same_rows_and_steps(tmp_path, engine):
+    """The query, not the engine name, picks the stacked pass: a
+    ``TreeCorpus`` and a ``CorpusStore`` over the same trees and chunk
+    bounds answer every root-context IR query in it, so they report
+    the same rows and the same ``ChunkReport.steps`` — the figures the
+    query service settles session quotas against."""
+    trees = _trees(21, seed=21)
+    path = str(tmp_path / "s")
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(trees))
+    expected = list(_naive_corpus_rows(trees, SOURCE_QUERIES))
+    with TreeCorpus(trees) as corpus, CorpusStore.open(
+        path, readonly=True
+    ) as store:
+        on_trees, on_lanes = (
+            source.run(
+                SOURCE_QUERIES, engine=engine, chunk_size=4,
+                budget_steps=10**9,
+            )
+            for source in (corpus, store)
+        )
+        assert list(on_trees.rows) == list(on_lanes.rows) == expected
+    assert {c.source for c in on_trees.chunks} == {"trees"}
+    assert {c.source for c in on_lanes.chunks} == {"lanes"}
+    assert [(c.start, c.stop, c.steps) for c in on_trees.chunks] == [
+        (c.start, c.stop, c.steps) for c in on_lanes.chunks
+    ]
+    assert all(c.steps > 0 for c in on_trees.chunks)
+
+
+@pytest.mark.parametrize(
+    "engine", ["fast", "vectorized", "auto", "reference"]
+)
+def test_tree_batches_evaluate_ir_queries_per_tree_only_on_reference(
+    monkeypatch, engine
+):
+    """On trees, every root-context query with an IR plan rides the
+    stacked pass under every engine but ``reference``: no per-tree
+    ``evaluate_cell`` call is left, ``auto``'s reference picks
+    included.  An explicit ``reference`` batch evaluates every cell."""
+    trees = _trees(21, seed=21)
+    calls = []
+    evaluate_cell = executor.evaluate_cell
+
+    def counted(query, tree, chosen="fast"):
+        calls.append(query)
+        return evaluate_cell(query, tree, chosen)
+
+    monkeypatch.setattr(executor, "evaluate_cell", counted)
+    with TreeCorpus(trees) as corpus:
+        result = corpus.run(SOURCE_QUERIES, engine=engine, chunk_size=4)
+    assert list(result.rows) == list(
+        _naive_corpus_rows(trees, SOURCE_QUERIES)
+    )
+    if engine == "auto":
+        assert "reference" in {plan.engine for plan in result.plans}
+    cells = len(trees) * len(SOURCE_QUERIES)
+    assert len(calls) == (cells if engine == "reference" else 0)
 
 
 @pytest.mark.parametrize("case", ["degrade", "raise", "fault"])
