@@ -84,6 +84,17 @@ from .engine import fo as fast_fo
 from .engine import walk as fast_walk
 from .engine import xpath as fast_xpath
 from .engine.index import adopt_index, index_cache_clear, index_for
+from .engine.ir import (
+    Children,
+    Closure,
+    ClosurePlus,
+    Descendants,
+    LabelScan,
+    StackedShard,
+    evaluate_shard,
+    evaluate_tree,
+)
+from .engine.ir import Plan as IRPlan
 from .engine.planner import default_planner
 from .engine.plans import plan_cache_clear
 from .logic import tree_fo
@@ -593,18 +604,9 @@ def _naive_corpus_rows(trees, queries) -> tuple:
     grid = [[None] * len(queries) for _ in trees]
     for q, query in enumerate(queries):
         for t, tree in enumerate(trees):
-            db = TreeDatabase(tree)
-            if query.kind == "xpath":
-                answer = db.xpath(query.text, context=query.context)
-            elif query.kind == "ask":
-                answer = db.ask(query.text)
-            elif query.kind == "select":
-                answer = db.select_where(query.text, context=query.context)
-            elif query.kind == "caterpillar":
-                answer = db.caterpillar(query.text, context=query.context)
-            else:
-                answer = db.caterpillar_relation(query.text)
-            grid[t][q] = answer
+            grid[t][q] = TreeDatabase(tree).query(
+                query.kind, query.text, query.context
+            )
     return tuple(tuple(row) for row in grid)
 
 
@@ -779,20 +781,47 @@ def _kernel_count_rows(count: int, seed: int, runs: int) -> List[Dict]:
     return rows
 
 
+#: The stacked shard's one-pass structural ops the kernel suite times,
+#: each from the σ-labelled nodes.
+KERNEL_OPS = (
+    "Descendants", "Children", "ClosurePlus(up)", "Closure((down | right)*)",
+)
+
+
+def _kernel_op_costs(count: int, seed: int, runs: int) -> Dict[str, float]:
+    """Warm ns per node of each :data:`KERNEL_OPS` op on one shard
+    stacked from the kernel corpus's ``count`` trees (size buckets and
+    label masks stacked before timing).  Each op's lanes are checked
+    against the per-tree evaluator first."""
+    with TreeCorpus.random(
+        count, max_size=CORPUS_MAX_TREE_SIZE, seed=seed
+    ) as corpus:
+        indexes = tuple(index_for(tree) for tree in corpus.trees)
+        nodes = corpus.total_nodes()
+    shard = StackedShard(indexes)
+    loop = fast_walk.compile_walk(parse_caterpillar("(down | right)*"))
+    ops = (
+        Descendants(0),
+        Children(0),
+        ClosurePlus(0, "up"),
+        Closure(0, loop.edges, loop.start, loop.accepting, loop.loops),
+    )
+    costs = {}
+    for name, op in zip(KERNEL_OPS, ops):
+        plan = IRPlan((LabelScan("σ"), op), 1, "nodes")
+        lanes = shard.split(evaluate_shard(plan, shard))
+        if lanes != [evaluate_tree(plan, index) for index in indexes]:
+            raise AssertionError(  # pragma: no cover - guard
+                f"stacked {name} disagrees with the per-tree evaluator"
+            )
+        seconds = _timed(lambda: evaluate_shard(plan, shard), runs)
+        costs[name] = round(seconds / nodes * 1e9, 2)
+    return costs
+
+
 def _facade_thunk(db: TreeDatabase, query, engine: str) -> Callable:
     """One no-argument facade call for a corpus-style query."""
-    if query.kind == "xpath":
-        return lambda: db.xpath(query.text, context=query.context,
-                                engine=engine)
-    if query.kind == "ask":
-        return lambda: db.ask(query.text, engine=engine)
-    if query.kind == "select":
-        return lambda: db.select_where(query.text, context=query.context,
-                                       engine=engine)
-    if query.kind == "caterpillar":
-        return lambda: db.caterpillar(query.text, context=query.context,
-                                      engine=engine)
-    return lambda: db.caterpillar_relation(query.text, engine=engine)
+    return lambda: db.query(query.kind, query.text, query.context, engine)
 
 
 def _result_cardinality(query, answer) -> int:
@@ -1149,6 +1178,11 @@ def run_kernel_suite(
     top = tree_counts[-1]
     vectorized_median = _corpus_mode_speedup(rows, "vectorized", top)
     auto_median = _corpus_mode_speedup(rows, "auto", top)
+    # One op takes tens of microseconds: the median of 100 calls.
+    op_costs = _guarded_case(
+        errors, f"kernel-ops:{top}",
+        lambda: _kernel_op_costs(top, seed, 100),
+    )
     return {
         "schema": KERNEL_SCHEMA,
         "generated_by": "python -m repro.bench --suite kernel"
@@ -1179,6 +1213,9 @@ def run_kernel_suite(
                 for row in rows
                 if row["n"] == top
             },
+            # warm ns per node of each one-pass structural op on the
+            # top size's trees stacked into one shard, ungated
+            "kernel_op_ns_per_node_at_max_size": op_costs or {},
             "thresholds": {"vectorized": KERNEL_THRESHOLD},
             "errors": len(errors),
             # The speed gate only binds the full-size sweep; a per-case
@@ -1533,6 +1570,12 @@ def _print_kernel_report(report: Dict) -> None:
         for mode, ms in summary["kernel_ms_at_max_size"].items()
     )
     print(f"\nwarm times at {summary['kernel_max_trees']} trees: {absolute}")
+    per_op = ", ".join(
+        f"{name} {ns:.2f}"
+        for name, ns in summary["kernel_op_ns_per_node_at_max_size"].items()
+    )
+    print(f"ns per node per IR op on one {summary['kernel_max_trees']}-tree "
+          f"shard: {per_op}")
     print(
         f"median speedups at {summary['kernel_max_trees']} trees: "
         f"stacked shard "

@@ -111,7 +111,13 @@ class ChunkReport:
     per plan step for the whole chunk, not once per tree, and runs
     every query with an IR plan whatever the engine name, so steps
     follow one rule on every chunk source: a chunk of the same trees
-    spends the same from trees as from lanes.  ``retries`` counts
+    spends the same from trees as from lanes.  Its descendant, child
+    and ancestor steps, and a walk's ``(down | right)*`` loop, are
+    arithmetic over subtree sizes with no saturation rounds, so steps
+    follow plan length, not tree depth: a ``//σ//δ`` chunk spends as
+    much on a 64-node chain as on a shallow 64-node tree (only
+    ``ClosurePlus`` over ``left``, ``right`` or ``down`` and a walk's
+    other loops still spend one step per round).  ``retries`` counts
     worker-death resubmissions that preceded the answer.  ``source``
     names where the chunk's indexes came from: ``"lanes"`` — its
     segment's index sidecar, with no tree loaded — or ``"trees"``."""

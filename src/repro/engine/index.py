@@ -222,6 +222,16 @@ class TreeIndex:
             bits &= -1 << end  # drop every source the interval swallowed
         return out
 
+    def subtree_sizes(self) -> List[Tuple[int, int]]:
+        """``(node, subtree size)`` for every node with children, read
+        off ``subtree_end`` — what a stacked shard buckets descendant
+        and ancestor ranges by."""
+        return [
+            (node, size)
+            for node, end in enumerate(self.subtree_end)
+            if (size := end - node) > 1
+        ]
+
     def children_of_mask(self, sources: int) -> int:
         """Bitset of all children of any node in ``sources``."""
         out = 0
@@ -298,12 +308,12 @@ class TreeIndex:
 #
 # :class:`PackedIndex` is the one reader, and it reads every byte: the
 # masks, labels and moves when it is built, the child arrays on its
-# first ``to_nodes``; a blob that does not end right after them is
-# rejected.  ``down`` move groups and ``all_mask``/``root_mask`` are
-# cheap derivations and are not stored.  The value index, the other
-# navigation arrays and ``children_mask`` serve in-memory TreeIndexes
-# only and are not stored either: a reader of value atoms would add
-# value masks here under a new version.
+# first ``to_nodes`` and on each ``subtree_sizes``; a blob that does
+# not end right after them is rejected.  ``down`` move groups and
+# ``all_mask``/``root_mask`` are cheap derivations and are not stored.
+# The value index, the other navigation arrays and ``children_mask``
+# serve in-memory TreeIndexes only and are not stored either: a reader
+# of value atoms would add value masks here under a new version.
 
 INDEX_BLOB_MAGIC = b"RXI1"
 INDEX_BLOB_VERSION = 2
@@ -368,12 +378,12 @@ class PackedIndex:
 
     It exposes exactly the lane surface the stacked-shard executor
     consumes — ``n``, the structural masks, ``move_groups``,
-    :meth:`labelled` — plus :meth:`to_nodes` for select-mode results,
-    whose node addresses it rebuilds on first use from the child
-    arrays that close the blob (children order determines every Gorn
-    address).  The point: a worker can assemble a
-    :class:`~repro.engine.ir.StackedShard` from sidecar bytes without
-    unpickling a single tree."""
+    :meth:`labelled`, :meth:`subtree_sizes` — plus :meth:`to_nodes` for
+    select-mode results, whose node addresses it rebuilds on first use
+    from the child arrays that close the blob (children order
+    determines every Gorn address and every subtree size).  The point:
+    a worker can assemble a :class:`~repro.engine.ir.StackedShard` from
+    sidecar bytes without unpickling a single tree."""
 
     __slots__ = (
         "n", "all_mask", "root_mask", "leaf_mask", "first_mask",
@@ -473,21 +483,44 @@ class PackedIndex:
         """Bitset of σ-labelled nodes (0 if σ never occurs)."""
         return self.label_mask.get(label, 0)
 
+    def _child_arrays(self) -> Tuple[array, array]:
+        """``(child_start, child_ids)``, the CSR child arrays that close
+        the blob."""
+        n = self.n
+        data = self._data
+        split = self._children_at + 4 * (n + 1)
+        if split > len(data):
+            raise IndexFormatError("serialized index is truncated")
+        child_start = _unpack_ints(data[self._children_at:split])
+        end = split + 4 * child_start[n]
+        if end != len(data):
+            raise IndexFormatError(
+                f"serialized index is {len(data)} bytes, but its "
+                f"child arrays end at byte {end}"
+            )
+        return child_start, _unpack_ints(data[split:end])
+
+    def subtree_sizes(self) -> List[Tuple[int, int]]:
+        """:meth:`TreeIndex.subtree_sizes`, from one reverse pass over
+        the child arrays: a node's subtree ends where its last child's
+        does, a leaf's right after it."""
+        child_start, child_ids = self._child_arrays()
+        n = self.n
+        ends = list(range(1, n + 1))
+        sizes = []
+        stop = child_start[n]
+        for node in range(n - 1, -1, -1):
+            start = child_start[node]
+            if stop != start:
+                end = ends[node] = ends[child_ids[stop - 1]]
+                sizes.append((node, end - node))
+            stop = start
+        return sizes
+
     def _addresses(self) -> List[NodeId]:
         if self._node_of is None:
             n = self.n
-            data = self._data
-            split = self._children_at + 4 * (n + 1)
-            if split > len(data):
-                raise IndexFormatError("serialized index is truncated")
-            child_start = _unpack_ints(data[self._children_at:split])
-            end = split + 4 * child_start[n]
-            if end != len(data):
-                raise IndexFormatError(
-                    f"serialized index is {len(data)} bytes, but its "
-                    f"child arrays end at byte {end}"
-                )
-            child_ids = _unpack_ints(data[split:end])
+            child_start, child_ids = self._child_arrays()
             node_of: List[NodeId] = [()] * n
             for i in range(n):
                 base = node_of[i]

@@ -32,10 +32,16 @@ ops —
   :class:`StackedShard` — every tree of a corpus chunk packed into its
   own power-of-two lane of one wide integer — so one pass over the op
   list answers the query for the whole shard at once.  ``AnyLane``
-  becomes a SWAR broadcast, ``Descendants``/``Children`` become
-  move-closure saturations (preorder puts every proper descendant in
-  ``down · (down | right)*``, and every child in ``down · right*``),
-  and every mask/shift/join acts on all lanes simultaneously.
+  becomes a SWAR broadcast and every mask/shift/join acts on all lanes
+  simultaneously.  The structural ops are arithmetic over subtree size
+  buckets: in preorder node *u*'s proper descendants are the ids
+  ``u+1 … u+size(u)−1``, and nodes of one size never nest, so
+  ``Descendants`` is one carry-free multiply per distinct size,
+  ``ClosurePlus(·, up)`` reads the carries out of adding the set into
+  those all-ones ranges, ``Children`` is the preimage of the ``up``
+  shift groups, and a walk's ``(down | right)*`` loop is right-sibling
+  waves plus one descendant fill — each a fixed number of big-int
+  operations per size, however deep the trees.
 
 Every lowering takes an *anchor*, the op that stands for the query's
 context node.  A corpus plan is anchored at ``ConstScan("root")``,
@@ -58,7 +64,7 @@ query kind is one row each of :data:`repro.engine.plans.DIALECTS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..caching import KeyedLRU
@@ -75,11 +81,15 @@ from ..xpath.ast import (
 )
 from .index import TreeIndex
 from .nodeset import (
+    SizeTable,
     apply_shift_groups,
     bind_closure,
     broadcast_lanes,
+    carry_ancestors,
+    fill_descendants,
     lane_width_for,
     reach,
+    size_table,
     split_lanes,
     stack_groups,
     stack_masks,
@@ -185,12 +195,15 @@ class Complement:
 class Closure:
     """A compiled caterpillar NFA (ε-closed edge tables of a
     :class:`~repro.engine.walk.CompiledWalk`) saturated from the nodes
-    in ``src``; yields the nodes reached in an accepting state."""
+    in ``src``; yields the nodes reached in an accepting state.
+    ``loops`` is the walk's per-state self-loop move sets
+    (:attr:`CompiledWalk.loops`), a function of ``edges``."""
 
     src: int
     edges: Tuple
     start: int
     accepting: Tuple[int, ...]
+    loops: Tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -312,6 +325,26 @@ class _TreeAlgebra:
         return _closure_answer(op, bound, init, context)
 
 
+class _StackedMoves(dict):
+    """A shard's move → stacked shift groups, each stacked from the
+    lanes' own groups on its first lookup."""
+
+    __slots__ = ("_indexes", "_width")
+
+    def __init__(self, indexes, width: int) -> None:
+        super().__init__()
+        self._indexes = indexes
+        self._width = width
+
+    def __missing__(self, direction: str):
+        groups = stack_groups(
+            (index.move_groups[direction] for index in self._indexes),
+            self._width,
+        )
+        self[direction] = groups
+        return groups
+
+
 class StackedShard:
     """Every tree of a chunk packed into its own lane of one wide int.
 
@@ -319,8 +352,10 @@ class StackedShard:
     the smallest power of two fitting the largest tree — so moves
     (confined to a tree) can never carry across lanes and the SWAR
     broadcast of ``AnyLane`` folds exactly one lane.  Structural masks
-    and shift groups are stacked eagerly (one pass over the indexes);
-    label masks are stacked lazily per distinct label.
+    are stacked eagerly (one pass over the indexes); the shift groups
+    of each move and the label masks are stacked lazily, on first use,
+    and the subtree size buckets once, by the first descendant or
+    ancestor op — a fresh shard pays only for what its plans read.
     """
 
     __slots__ = (
@@ -331,6 +366,7 @@ class StackedShard:
         "consts",
         "move_groups",
         "_labels",
+        "_sizes",
     )
 
     def __init__(self, indexes) -> None:
@@ -359,14 +395,9 @@ class StackedShard:
                 (index.last_mask for index in self.indexes), width
             ),
         }
-        self.move_groups = {
-            direction: stack_groups(
-                (index.move_groups[direction] for index in self.indexes),
-                width,
-            )
-            for direction in ("up", "down", "left", "right")
-        }
+        self.move_groups = _StackedMoves(self.indexes, width)
         self._labels: Dict[str, int] = {}
+        self._sizes: Optional[SizeTable] = None
 
     def labelled(self, name: str) -> int:
         mask = self._labels.get(name)
@@ -377,19 +408,44 @@ class StackedShard:
             self._labels[name] = mask
         return mask
 
+    def sizes(self) -> SizeTable:
+        """Every lane's subtree size buckets, stacked: bucket *k* holds
+        the shard's nodes whose subtree has *k* nodes, in every lane at
+        once (:func:`~repro.engine.nodeset.size_table`).  The lanes'
+        subtree sizes are read once and dropped; only the stacked table
+        is kept."""
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = size_table(
+                (index.subtree_sizes() for index in self.indexes), self.width
+            )
+        return sizes
+
     def split(self, bits: int) -> List[int]:
         """The per-tree node sets of a stacked result, tree order."""
         return split_lanes(bits, self.width, self.lanes)
 
 
-class _ShardAlgebra:
-    """One root-anchored plan bound to a whole shard's stacked lanes."""
+#: The self-loop move set a stacked ``Closure`` state closes in one
+#: pass instead of wave by wave: ``(down | right)*`` reaches the right
+#: siblings and then every descendant.
+_SUBTREE_LOOP = frozenset(("down", "right"))
 
-    __slots__ = ("shard", "_tests")
+
+class _ShardAlgebra:
+    """One root-anchored plan bound to a whole shard's stacked lanes.
+
+    ``Descendants``, ``Children`` and ``ClosurePlus(·, up)`` are one
+    arithmetic pass each: preorder makes a subtree one id range, so
+    descendants and ancestors come from the shard's subtree size
+    buckets and children from the preimage of its ``up`` groups."""
+
+    __slots__ = ("shard", "_tests", "_closers")
 
     def __init__(self, shard: StackedShard) -> None:
         self.shard = shard
         self._tests = None
+        self._closers = None
 
     def labelled(self, name: str) -> int:
         return self.shard.labelled(name)
@@ -401,30 +457,29 @@ class _ShardAlgebra:
         return apply_shift_groups(self.shard.move_groups[direction], bits)
 
     def children(self, bits: int, context) -> int:
-        # children(S) = down(S) closed under right: the first child plus
-        # its right-sibling chain enumerates exactly the children.
-        groups = self.shard.move_groups
-        return _saturate(
-            (groups["right"],),
-            apply_shift_groups(groups["down"], bits),
-            context,
-        )
+        # children(S) is the preimage of S under up: each up group
+        # (shift < 0, sources) moves its sources' parents onto them.
+        out = 0
+        for shift, sources in self.shard.move_groups["up"]:
+            out |= (bits << -shift) & sources
+        return out
 
     def descendants(self, bits: int, context) -> int:
-        # descendants(S) = down(S) closed under {down, right}: every
-        # non-root node of a subtree is the first child (down) or the
-        # right sibling (right) of another node of the same subtree,
-        # and both moves stay inside the subtree.
-        groups = self.shard.move_groups
-        return _saturate(
-            (groups["down"], groups["right"]),
-            apply_shift_groups(groups["down"], bits),
-            context,
-        )
+        return fill_descendants(self.shard.sizes(), bits)
 
     def plus(self, direction: str, bits: int, context) -> int:
+        if direction == "up":
+            return carry_ancestors(self.shard.sizes(), bits)
         groups = self.shard.move_groups[direction]
         return _saturate((groups,), apply_shift_groups(groups, bits), context)
+
+    def _close_subtrees(self, bits: int, context) -> int:
+        # {down, right}*: the right siblings (waves, as long as the
+        # longest sibling run), then all their descendants in one fill.
+        siblings = _saturate(
+            (self.shard.move_groups["right"],), bits, context
+        )
+        return siblings | fill_descendants(self.shard.sizes(), siblings)
 
     def complement(self, bits: int) -> int:
         return self.shard.all_mask & ~bits
@@ -442,16 +497,19 @@ class _ShardAlgebra:
                 predicate: consts[kind]
                 for predicate, kind in _TEST_PREDICATES
             }
+            self._closers = {_SUBTREE_LOOP: self._close_subtrees}
         bound = bind_closure(
-            op.edges, self.shard.move_groups, self._tests, self.labelled
+            op.edges, self.shard.move_groups, self._tests, self.labelled,
+            op.loops, self._closers,
         )
         return _closure_answer(op, bound, init, context)
 
 
 def _saturate(groups_list, seed: int, context) -> int:
     """Close ``seed`` under a set of shift-decomposed moves — the
-    frontier loop behind ``Descendants``/``Children``/``ClosurePlus``.
-    One checkpoint per round (the unit of big-int work)."""
+    frontier loop behind ``ClosurePlus`` (per tree, and over ``left``,
+    ``right`` and ``down`` stacked).  One checkpoint per round (the
+    unit of big-int work)."""
     acc = 0
     frontier = seed
     while frontier:
@@ -999,6 +1057,7 @@ def lower_caterpillar(compiled, stats=None, anchor: str = "root") -> Plan:
             compiled.edges,
             compiled.start,
             tuple(compiled.accepting),
+            compiled.loops,
         )
     )
     return builder.plan(result, "nodes")

@@ -17,7 +17,11 @@ home for the primitives they share, so an optimisation lands once:
   big-int shift per distinct distance; :func:`apply_shift_groups` /
   :func:`apply_atom` replay such groups against a frontier;
 * **intervals** — :func:`interval_mask` materialises the contiguous id
-  range that a preorder subtree occupies;
+  range that a preorder subtree occupies; :func:`size_table` groups
+  nodes by subtree size, and :func:`fill_descendants` /
+  :func:`carry_ancestors` turn a whole node set into its descendants or
+  ancestors with a few big-int operations per distinct size (same-size
+  subtrees never overlap);
 * **lane stacking** — :func:`lane_tiler`, :func:`stack_masks`,
   :func:`stack_groups`, :func:`broadcast_lanes`, :func:`split_lanes`
   generalise the trick :meth:`WalkEvaluator.all_pairs` plays within one
@@ -25,7 +29,8 @@ home for the primitives they share, so an optimisation lands once:
   tree gets a power-of-two-wide lane in one wide integer, and every
   mask/shift/popcount primitive acts on all lanes simultaneously;
 * **product-graph saturation** — :func:`bind_closure` resolves a
-  compiled walk's atoms to masks and shift groups, and :func:`reach` is
+  compiled walk's atoms to masks and shift groups (or, for a state's
+  self-loops, to a caller's one-pass loop closer), and :func:`reach` is
   the round-synchronised frontier BFS over that table, run by the plan
   IR's ``Closure`` op and by the all-pairs relation.
 
@@ -48,6 +53,9 @@ __all__ = [
     "apply_shift_groups",
     "apply_atom",
     "interval_mask",
+    "size_table",
+    "fill_descendants",
+    "carry_ancestors",
     "lane_width_for",
     "lane_tiler",
     "stack_masks",
@@ -134,6 +142,63 @@ def interval_mask(start: int, stop: int) -> int:
     return (1 << stop) - (1 << start)
 
 
+#: ``((k, 2^k − 2, B_k, R_k), …)`` — a set's size buckets (see
+#: :func:`size_table`) with each bucket's range multiplier and ranges.
+SizeTable = Tuple[Tuple[int, int, int, int], ...]
+
+
+def size_table(
+    lane_sizes: Iterable[Iterable[Tuple[int, int]]], width: int
+) -> SizeTable:
+    """The subtree size buckets of stacked lanes, ready for
+    :func:`fill_descendants` and :func:`carry_ancestors`, from each
+    lane's ``(node, subtree size)`` pairs for its nodes with children
+    (lane *i* at offset ``i * width``; leaves get no bucket).
+
+    In preorder, node *u* of subtree size *k* has the proper descendants
+    ``u+1 … u+k−1``: one id range, ``u``'s bit times ``2^k − 2``.  Two
+    nodes of the same size never nest, so their ranges are disjoint and
+    ``R_k = B_k · (2^k − 2)``, every size-*k* node's range at once, is
+    one multiply without a carry."""
+    buckets: Dict[int, int] = {}
+    offset = 0
+    for pairs in lane_sizes:
+        for node, size in pairs:
+            buckets[size] = buckets.get(size, 0) | (1 << (offset + node))
+        offset += width
+    return tuple(
+        (size, (1 << size) - 2, bucket, bucket * ((1 << size) - 2))
+        for size, bucket in buckets.items()
+    )
+
+
+def fill_descendants(table: SizeTable, bits: int) -> int:
+    """The proper descendants of ``bits``: per size bucket, the members
+    of ``bits`` times their range multiplier — one carry-free multiply
+    per subtree size, whatever the tree's depth."""
+    out = 0
+    for _, span, bucket, _ in table:
+        hit = bits & bucket
+        if hit:
+            out |= hit * span
+    return out
+
+
+def carry_ancestors(table: SizeTable, bits: int) -> int:
+    """The proper ancestors of ``bits``: per size bucket, the members of
+    ``bits`` inside the all-ones ranges ``R_k`` are added to ``R_k``.  A
+    range that holds one of them overflows into the bit just past it,
+    ``u + k`` for a range of node *u*, and only such carries leave
+    ``R_k``'s bits, so shifting the sum down by *k* and keeping
+    ``B_k`` yields exactly the size-*k* ancestors."""
+    out = 0
+    for size, _, bucket, ranges in table:
+        hit = bits & ranges
+        if hit:
+            out |= ((ranges + hit) >> size) & bucket
+    return out
+
+
 # ---------------------------------------------------------------------------
 # lane stacking: many node sets (one per tree, or one per start node)
 # packed side by side in a single wide integer
@@ -217,7 +282,9 @@ def split_lanes(bits: int, width: int, lanes: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def bind_closure(edges, move_groups, test_masks, labelled):
+def bind_closure(
+    edges, move_groups, test_masks, labelled, loops=None, closers=None
+):
     """Resolve a compiled walk's atom edges against one algebra — the
     table :func:`reach` runs over.
 
@@ -229,24 +296,33 @@ def bind_closure(edges, move_groups, test_masks, labelled):
     state, saturated in place) and ordinary out-edges, sharing one
     applier when an atom has both.  One tree's masks bind a walk from
     a set of start nodes; masks tiled across lanes bind a stacked one.
+
+    ``closers`` (optional) maps a set of move directions to a *loop
+    closer*: a ``(frontier, context) → closure`` function that closes a
+    node set under those moves in one pass.  A state whose self-loops
+    are exactly such a set (``loops[q]``, as the compiled walk records
+    it) gets the closer instead of self-loop waves.
     """
     bound = []
     for state, state_edges in enumerate(edges):
+        closer = closers.get(loops[state]) if closers else None
         selfs = []
         outs = []
         for (kind, payload), targets in state_edges:
+            rest = tuple(t for t in targets if t != state)
+            if closer is not None and not rest:
+                continue  # a self-loop move the closer stands for
             if kind == "move":
                 applier = (move_groups[payload], 0)
             elif kind == "test":
                 applier = (None, test_masks[payload])
             else:  # label test
                 applier = (None, labelled(payload))
-            if state in targets:
+            if state in targets and closer is None:
                 selfs.append(applier)
-            rest = tuple(t for t in targets if t != state)
             if rest:
                 outs.append((applier[0], applier[1], rest))
-        bound.append((tuple(selfs), tuple(outs)))
+        bound.append((tuple(selfs), closer, tuple(outs)))
     return tuple(bound)
 
 
@@ -255,16 +331,17 @@ def reach(bound, state_count: int, start: int, init: int, context=None) -> List[
     carrying ``init`` — the frontier-bitset BFS shared by the all-pairs
     walk relation and the plan IR's ``Closure`` op.
 
-    ``bound[q]`` is ``(selfs, outs)``: *self-loop* atoms of state ``q``
-    as ``(groups, mask)`` appliers (saturated in place), and ordinary
-    out-edges as ``(groups, mask, targets)``.  Propagation is
-    *round-synchronised*: every state's fresh bits are batched and
-    pushed through all its atoms once per round, so the number of
-    big-int operations is (#edges × product-graph depth), never per
-    (state, node) pair.  ``context`` (a resilience
+    ``bound[q]`` is ``(selfs, closer, outs)``: *self-loop* atoms of
+    state ``q`` as ``(groups, mask)`` appliers (saturated in place, wave
+    by wave), or a loop ``closer`` that closes the frontier in one call
+    instead, and ordinary out-edges as ``(groups, mask, targets)``.
+    Propagation is *round-synchronised*: every state's fresh bits are
+    batched and pushed through all its atoms once per round, so the
+    number of big-int operations is (#edges × product-graph depth),
+    never per (state, node) pair.  ``context`` (a resilience
     :class:`~repro.resilience.budget.ExecutionContext`) is checkpointed
     once per (state, round) and per self-loop wave — the units of
-    big-int work.
+    big-int work — and passed to a closer, which checkpoints its own.
     """
     reached = [0] * state_count
     reached[start] = init
@@ -274,8 +351,13 @@ def reach(bound, state_count: int, start: int, init: int, context=None) -> List[
         for state, frontier in current.items():
             if context is not None:
                 context.checkpoint()
-            selfs, outs = bound[state]
-            if selfs:
+            selfs, closer, outs = bound[state]
+            if closer is not None:
+                grown = reached[state]
+                wave = closer(frontier, context) & ~grown
+                reached[state] = grown | wave
+                frontier |= wave
+            elif selfs:
                 grown = reached[state]
                 wave = frontier
                 while wave:

@@ -133,7 +133,9 @@ class Dialect:
     ``reference`` answer one tree from a context node, both as
     ``(parsed, tree, context)`` → canonical cell: node tuples in
     document order, plain bools, or sorted pair tuples.  ``costed``
-    maps the parsed form to what the planner's cost model prices."""
+    maps the parsed form to what the planner's cost model prices, and
+    ``formula`` to the FO formula a budget's ``max_formula_size``
+    bounds (``None`` for dialects that have none)."""
 
     kind: str
     parse: Callable[[str], object]
@@ -141,6 +143,7 @@ class Dialect:
     fast: Callable[[object, Tree, NodeId], object]
     reference: Callable[[object, Tree, NodeId], object]
     costed: Callable[[object], object]
+    formula: Callable[[object], Optional[TreeFormula]] = lambda parsed: None
 
 
 def _itself(parsed):
@@ -169,6 +172,7 @@ DIALECTS: Dict[str, Dialect] = {
                 formula, tree
             ),
             costed=_itself,
+            formula=_itself,
         ),
         Dialect(
             "select",
@@ -183,6 +187,7 @@ DIALECTS: Dict[str, Dialect] = {
                 tree, context
             ),
             costed=lambda query: query.formula,
+            formula=lambda query: query.formula,
         ),
         Dialect(
             "caterpillar",

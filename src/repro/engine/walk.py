@@ -30,7 +30,7 @@ sweep over every start node at once.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..caching import KeyedLRU
 from ..caterpillar.ast import (
@@ -96,9 +96,15 @@ class CompiledWalk:
     expressions this shrinks the product's state dimension severalfold,
     and turns ``a*`` plumbing into genuine self-loops the evaluator can
     saturate in place.
+
+    ``loops[q]`` is the set of move directions of state ``q``'s
+    self-loops when every self-loop atom is a move, else ``None`` —
+    decided once here, so an evaluator that can close some move sets in
+    one pass (the stacked shard closes ``{down, right}``) looks a state
+    up instead of inspecting its edges on every bind.
     """
 
-    __slots__ = ("text", "state_count", "start", "edges", "accepting")
+    __slots__ = ("text", "state_count", "start", "edges", "accepting", "loops")
 
     def __init__(self, expr: Caterpillar) -> None:
         self.text = format_caterpillar(expr)
@@ -144,9 +150,25 @@ class CompiledWalk:
         self.accepting = tuple(
             renumber[s] for s in order if s in accepting
         )
+        self.loops = tuple(
+            _loop_moves(state, entries)
+            for state, entries in enumerate(self.edges)
+        )
 
     def __repr__(self) -> str:
         return f"CompiledWalk({self.text!r}, {self.state_count} states)"
+
+
+def _loop_moves(state: int, entries) -> Optional[FrozenSet[str]]:
+    """The directions of ``state``'s self-loops, or ``None`` when it
+    has none or a test rides the loop."""
+    moves = set()
+    for (kind, payload), targets in entries:
+        if state in targets:
+            if kind != "move":
+                return None
+            moves.add(payload)
+    return frozenset(moves) or None
 
 
 def _live_states(

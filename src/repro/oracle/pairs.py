@@ -1009,20 +1009,10 @@ def _sequential_answers(
     members: Sequence[Tree], query: "CorpusQuery"
 ) -> Tuple[object, ...]:
     """The status-quo loop: one facade call per member tree."""
-    out: List[object] = []
-    for tree in members:
-        db = TreeDatabase(tree)
-        if query.kind == "xpath":
-            out.append(db.xpath(query.text, query.context))
-        elif query.kind == "ask":
-            out.append(db.ask(query.text))
-        elif query.kind == "select":
-            out.append(db.select_where(query.text, context=query.context))
-        elif query.kind == "caterpillar":
-            out.append(db.caterpillar(query.text, query.context))
-        else:  # caterpillar-relation
-            out.append(db.caterpillar_relation(query.text))
-    return tuple(out)
+    return tuple(
+        TreeDatabase(tree).query(query.kind, query.text, query.context)
+        for tree in members
+    )
 
 
 class _BatchVsSequential(EnginePair):

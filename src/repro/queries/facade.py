@@ -28,6 +28,7 @@ from ..engine.plans import (
     compile_select_plan,
     compile_sentence_plan,
     compile_xpath_plan,
+    dialect_for,
 )
 from ..logic import tree_fo
 from ..logic.exists_star import ExistsStarQuery
@@ -199,9 +200,13 @@ class TreeDatabase:
     ):
         """Run one ``kind`` query through :meth:`_dispatch` on the fast
         and reference evaluators of its dialect row
-        (:data:`repro.engine.plans.DIALECTS`); ``text`` keys the
-        ``"auto"`` plan."""
+        (:data:`repro.engine.plans.DIALECTS`), after the budget's
+        formula-size limit; ``text`` keys the ``"auto"`` plan."""
         dialect = DIALECTS[kind]
+        if budget is not None and budget.max_formula_size is not None:
+            formula = dialect.formula(parsed)
+            if formula is not None:
+                budget.check_formula_size(len(tree_fo.subformulas(formula)))
         return self._dispatch(
             operation,
             lambda: dialect.fast(parsed, self.tree, context),
@@ -210,6 +215,31 @@ class TreeDatabase:
             budget,
             plan_key=(kind, text, parsed),
         )
+
+    def query(
+        self,
+        kind: str,
+        text: str,
+        context: NodeId = (),
+        engine: str = "fast",
+        budget: Optional[Budget] = None,
+    ):
+        """Answer one query of any kind in
+        :data:`repro.engine.plans.DIALECTS` — ``"xpath"``, ``"ask"``,
+        ``"select"``, ``"caterpillar"`` or ``"caterpillar-relation"`` —
+        given as text, from ``context`` (sentences and relations ignore
+        it), e.g. ``db.query("select", "x << y & O_item(y)")``.
+
+        The answer is the one the kind's own method gives
+        (:meth:`xpath`, :meth:`ask`, :meth:`select_where`,
+        :meth:`caterpillar`, :meth:`caterpillar_relation`), under the
+        same engines and budgets; the parse goes through the shared
+        plan cache, not this database's LRU caches, and the
+        ``"resilient"`` engine logs the call under the kind's name.  A
+        kind added to ``DIALECTS`` is answered here with no change."""
+        _check_engine(engine)
+        parsed = dialect_for(kind).parse(text)
+        return self._query(kind, kind, text, parsed, context, engine, budget)
 
     def resilience_info(self) -> Dict[str, object]:
         """Counters and incident history of the ``"resilient"`` engine —
@@ -301,8 +331,6 @@ class TreeDatabase:
         the source text (:meth:`ask`) pass it so planning never has to
         re-format the AST."""
         _check_engine(engine)
-        if budget is not None and budget.max_formula_size is not None:
-            budget.check_formula_size(len(tree_fo.subformulas(sentence)))
         if engine == "auto" and plan_text is None:
             from ..logic.parser import format_formula
 
@@ -356,8 +384,6 @@ class TreeDatabase:
     ) -> Tuple[NodeId, ...]:
         """Evaluate a binary FO(∃*) query from ``context``."""
         _check_engine(engine)
-        if budget is not None and budget.max_formula_size is not None:
-            budget.check_formula_size(len(tree_fo.subformulas(query.formula)))
         if engine == "auto" and plan_text is None:
             from ..logic.parser import format_formula
 

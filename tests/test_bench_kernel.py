@@ -1,6 +1,7 @@
 """Smoke tests for the ``--suite kernel`` benchmark — the stacked shard
 sweep stays runnable at toy sizes, its baseline is a per-tree cell
-loop, and the committed full-size trajectory keeps clearing its gate."""
+loop, its summary carries each structural op's ns per node, and the
+committed full-size trajectory keeps clearing its gate."""
 
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 from repro import bench
 
 MODES = {"per_tree", "vectorized", "auto"}
+OPS = set(bench.KERNEL_OPS)
 
 
 def test_quick_kernel_benchmark_writes_wellformed_json(tmp_path, monkeypatch):
@@ -43,6 +45,8 @@ def test_quick_kernel_benchmark_writes_wellformed_json(tmp_path, monkeypatch):
     for mode, ms in summary["kernel_ms_at_max_size"].items():
         (row,) = [r for r in rows if r["n"] == top and r["mode"] == mode]
         assert ms == round(row["seconds"] * 1000, 3) > 0
+    per_op = summary["kernel_op_ns_per_node_at_max_size"]
+    assert set(per_op) == OPS and all(ns > 0 for ns in per_op.values())
     assert summary["pass"] is True  # quick mode never gates on speed
 
 
@@ -54,6 +58,7 @@ def test_committed_kernel_trajectory_clears_its_gate():
     summary = report["summary"]
     assert summary["pass"] is True
     assert set(summary["kernel_ms_at_max_size"]) == MODES
+    assert set(summary["kernel_op_ns_per_node_at_max_size"]) == OPS
     if not report["quick"]:
         assert (
             summary["kernel_median_speedup_at_max_size"]

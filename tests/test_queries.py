@@ -226,3 +226,51 @@ def test_run_automaton_engine_parameter(db):
     )
     with pytest.raises(ValueError):
         db.run_automaton(auto, engine="bogus")
+
+
+QUERY_KINDS = (
+    ("xpath", "catalog//item", (0,)),
+    ("ask", "forall x (leaf(x) -> O_item(x))", ()),
+    ("select", "x << y & O_item(y)", (1,)),
+    ("caterpillar", "(down | right)* isLeaf", (0, 0)),
+    ("caterpillar-relation", "down", ()),
+)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference", "resilient", "auto"])
+def test_query_answers_every_kind_like_its_own_method(db, engine):
+    typed = {
+        "xpath": lambda text, context: db.xpath(text, context, engine),
+        "ask": lambda text, context: db.ask(text, engine),
+        "select": lambda text, context: db.select_where(
+            text, context, engine
+        ),
+        "caterpillar": lambda text, context: db.caterpillar(
+            text, context, engine
+        ),
+        "caterpillar-relation": lambda text, context: db.caterpillar_relation(
+            text, engine
+        ),
+    }
+    for kind, text, context in QUERY_KINDS:
+        assert db.query(kind, text, context, engine) == typed[kind](
+            text, context
+        )
+
+
+def test_query_rejects_unknown_kinds_and_engines(db):
+    with pytest.raises(ValueError, match="unknown query kind"):
+        db.query("sql", "select 1")
+    with pytest.raises(ValueError, match="unknown engine"):
+        db.query("xpath", "//item", engine="bogus")
+
+
+def test_query_applies_the_formula_size_limit_of_fo_kinds(db):
+    from repro.resilience import Budget, ResourceExhausted
+
+    tight = Budget(max_formula_size=2)
+    for kind, text, _ in QUERY_KINDS[1:3]:
+        with pytest.raises(ResourceExhausted):
+            db.query(kind, text, budget=tight)
+    # XPath and walks have no FO formula to bound.
+    assert db.query("xpath", "catalog//item", budget=Budget(max_formula_size=0))
