@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import statistics
 import sys
 import time
@@ -241,6 +242,12 @@ STORE_REPAIR_EDITS = 12
 #: workload incremental repair exists for (and the *hard* case: the
 #: prefix/suffix splice work is maximal when the site is small).
 STORE_REPAIR_SITE_LIMIT = 64
+
+#: One-subtree replaces timed in one full default-size segment, on a
+#: store of their own: absolute wall and CPU ms and bytes written, not
+#: gated.
+STORE_REPLACE_EDITS = 12
+STORE_REPLACE_EDITS_QUICK = 3
 
 #: Warm fixed-window batch latency may grow at most this factor as the
 #: corpus grows 10x.
@@ -1426,13 +1433,102 @@ def run_repair_benchmark(
     return rows
 
 
+def _bytes_written() -> Optional[int]:
+    """Bytes this process has handed to write calls (Linux ``wchar``),
+    or ``None`` where ``/proc/self/io`` does not exist."""
+    try:
+        with open("/proc/self/io", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("wchar:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def run_replace_benchmark(
+    seed: int, edits: int, errors: Optional[List[str]] = None
+) -> Optional[Dict]:
+    """One-subtree ``replace`` edits in one full default-size segment of
+    the edit workload's document sizes: median wall ms, CPU ms and bytes
+    written per replace.  A first, untimed replace is checked against
+    the naive per-call loop over a window holding the edited tree."""
+    import shutil
+    import tempfile
+
+    from .corpus import CorpusStore
+    from .corpus.store import DEFAULT_SEGMENT_SIZE
+
+    def case():
+        base, step, span = COLDPATH_TREE_SIZES
+        trees = [
+            random_tree(
+                base + (i * step) % span, value_pool=(1, 2, 3),
+                max_children=3, seed=seed + i,
+            )
+            for i in range(DEFAULT_SEGMENT_SIZE)
+        ]
+        rng = random.Random(seed)
+
+        def edit(k):
+            """One replace: (position, wall s, CPU s, bytes written)."""
+            position = rng.randrange(len(trees))
+            old = trees[position]
+            site = rng.choice([node for node in old.nodes if node != ()])
+            graft = random_tree(
+                rng.randint(3, 8), value_pool=(1, 2, 3), max_children=3,
+                seed=seed + 50_000 + k,
+            )
+            trees[position] = old.replace_subtree(site, graft)
+            before = _bytes_written()
+            t0, c0 = time.perf_counter(), time.process_time()
+            store.replace(position, trees[position], site=site)
+            wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+            after = _bytes_written()
+            written = None if before is None else after - before
+            return position, wall, cpu, written
+
+        tmp = tempfile.mkdtemp(prefix="repro-bench-replace-")
+        store = CorpusStore.create(f"{tmp}/store")
+        try:
+            store.ingest(trees)
+            position = edit(0)[0]
+            start = max(0, position - 8)
+            stop = min(len(trees), start + 16)
+            rows = store.run(STORE_QUERIES, start=start, stop=stop).rows
+            if rows != _naive_corpus_rows(
+                trees[start:stop], STORE_QUERIES
+            ):  # pragma: no cover - guard
+                raise AssertionError(
+                    "store batch after replace disagrees with loop"
+                )
+            _, wall, cpu, written = zip(
+                *(edit(k) for k in range(1, edits + 1))
+            )
+        finally:
+            store.close()
+            shutil.rmtree(tmp, ignore_errors=True)
+        return {
+            "segment_size": DEFAULT_SEGMENT_SIZE,
+            "edits": edits,
+            "wall_ms": statistics.median(wall) * 1000,
+            "cpu_ms": statistics.median(cpu) * 1000,
+            "bytes_written": (
+                None if None in written else statistics.median(written)
+            ),
+        }
+
+    return _guarded_case(errors, "replace", case)
+
+
 def run_store_suite(
     quick: bool = False, seed: int = 0, repeats: int = 1
 ) -> Dict:
     """The disk-store sweep (``--suite store``) as a JSON-ready dict:
     streaming ingest (child-process peak RSS), cold open, warm
-    fixed-window batches at 1x and 10x corpus size, and incremental
-    index repair vs full rebuild."""
+    fixed-window batches at 1x and 10x corpus size, incremental index
+    repair vs full rebuild, and the absolute cost of a one-subtree
+    replace."""
     tree_counts = STORE_TREE_COUNTS_QUICK if quick else STORE_TREE_COUNTS
     repair_sizes = (
         STORE_REPAIR_SIZES_QUICK if quick else STORE_REPAIR_SIZES
@@ -1442,6 +1538,11 @@ def run_store_suite(
     repair_rows = run_repair_benchmark(
         repair_sizes, seed, repeats, errors=errors
     )
+    replace = run_replace_benchmark(
+        seed,
+        STORE_REPLACE_EDITS_QUICK if quick else STORE_REPLACE_EDITS,
+        errors=errors,
+    ) or {}
     by_count = {row["n"]: row for row in rows}
     base, top = tree_counts[0], tree_counts[-1]
     flat_ratio = rss_ratio = warm_speedup = 0.0
@@ -1478,6 +1579,7 @@ def run_store_suite(
             ],
             "rows": rows,
             "repair_rows": repair_rows,
+            "replace": replace,
         },
         "summary": {
             "store_max_trees": top,
@@ -1490,6 +1592,10 @@ def run_store_suite(
             "store_warm_median_speedup_at_max_size": warm_speedup,
             # incremental splice repair vs a fresh TreeIndex build
             "store_repair_median_speedup_at_max_size": repair_median,
+            # one-subtree replace in a full segment: absolute, ungated
+            "store_replace_wall_ms": replace.get("wall_ms", 0.0),
+            "store_replace_cpu_ms": replace.get("cpu_ms", 0.0),
+            "store_replace_bytes_written": replace.get("bytes_written"),
             "thresholds": {
                 "flat": STORE_FLAT_THRESHOLD,
                 "rss": STORE_RSS_THRESHOLD,
@@ -1533,6 +1639,16 @@ def _print_store_report(report: Dict) -> None:
             f"over {row['edits']} edits "
             f"(min {row['min_speedup']:.2f}x, "
             f"max {row['max_speedup']:.2f}x)"
+        )
+    replace = report["store"]["replace"]
+    if replace:
+        written = replace["bytes_written"]
+        print(
+            f"\none-subtree replace in a {replace['segment_size']}-tree "
+            f"segment: median {replace['wall_ms']:.1f}ms wall, "
+            f"{replace['cpu_ms']:.1f}ms CPU"
+            + (f", {written / 1e6:.2f} MB written" if written else "")
+            + f" over {replace['edits']} edits"
         )
     summary = report["summary"]
     print(

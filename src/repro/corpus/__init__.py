@@ -39,6 +39,7 @@ from .query import (
     xpath_query,
 )
 from .segment import (
+    BlobRuns,
     Segment,
     SegmentWriter,
     Sidecar,
@@ -57,6 +58,7 @@ from .store import (
 
 __all__ = [
     "BatchResult",
+    "BlobRuns",
     "ChunkReport",
     "CorpusQuery",
     "CorpusStore",

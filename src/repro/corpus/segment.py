@@ -28,16 +28,22 @@ from __future__ import annotations
 
 import json
 import mmap
+import operator
 import os
 import pickle
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..engine.stats import TreeStatistics
 from ..resilience.errors import ReproError
 from ..trees.tree import Tree
 
 __all__ = [
+    "BlobRuns",
+    "BlobTable",
     "Segment",
     "SegmentWriter",
     "Sidecar",
@@ -58,6 +64,14 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sII")   # magic, format version, segment id
 _RECORD = struct.Struct("<I")      # record length prefix
 _TRAILER = struct.Struct("<I8s")   # footer length, trailer magic
+
+#: Writes the bytes ``json.dumps(footer, separators=(",", ":"))`` does.
+#: A footer holds no cycles, so the encoder skips the cycle check and
+#: its dict insert and delete for each of the footer's lists, of which
+#: every statistics row holds several.
+_FOOTER_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False
+)
 
 #: Index sidecar file bits (``seg-NNNNN.rpridx`` next to each sealed
 #: ``seg-NNNNN.seg``): one ``serialize_index`` blob per record, plus
@@ -168,8 +182,8 @@ class SegmentWriter:
                     f"segment id mismatch in {path}: "
                     f"{existing.segment_id} != {segment_id}"
                 )
-            offsets = list(existing._offsets)
-            rows = [list(row) for row in existing._rows]
+            offsets = existing._offsets
+            rows = existing._rows
             record_end = existing._record_end
         finally:
             existing.close()
@@ -196,23 +210,33 @@ class SegmentWriter:
 
     def append(self, tree: Tree) -> int:
         """Write one tree; returns its record position in this segment."""
-        return self.append_raw(
-            pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL),
-            _stats_row(TreeStatistics.from_tree(tree)),
-        )
-
-    def append_raw(self, payload: bytes, row: list) -> int:
-        """Copy one already-pickled record (with its statistics row)
-        byte-for-byte — the compaction and replace paths, which rewrite
-        segments without paying a pickle/unpickle round per tree."""
         if self._sealed:
             raise StoreError("segment already sealed")
+        payload = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
         self._offsets.append(self._position)
-        self._rows.append(list(row))
+        self._rows.append(_stats_row(TreeStatistics.from_tree(tree)))
         self._handle.write(_RECORD.pack(len(payload)))
         self._handle.write(payload)
         self._position += _RECORD.size + len(payload)
         return len(self._offsets) - 1
+
+    def copy_records(self, segment: "Segment", lo: int, hi: int) -> None:
+        """Copy records ``[lo, hi)`` of a sealed segment, with their
+        statistics rows, byte-for-byte — the replace and compaction
+        paths.  The run is one write from the segment's mapping, and its
+        offsets shift in one pass by how far the run moves; no record is
+        decoded or copied one at a time."""
+        if self._sealed:
+            raise StoreError("segment already sealed")
+        start, end = segment.record_span(lo, hi)
+        shift = self._position - start
+        self._offsets.extend(
+            [offset + shift for offset in segment._offsets[lo:hi]]
+        )
+        self._rows.extend(segment._rows[lo:hi])
+        with memoryview(segment._view) as view:
+            self._handle.write(view[start:end])
+        self._position += end - start
 
     def seal(self) -> Dict[str, object]:
         """Write footer + trailer and close; returns the footer dict
@@ -227,13 +251,18 @@ class SegmentWriter:
             "offsets": self._offsets,
             "stats": self._rows,
         }
-        blob = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+        blob = _FOOTER_ENCODER.encode(footer).encode("utf-8")
         self._handle.write(blob)
         self._handle.write(_TRAILER.pack(len(blob), TRAILER))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()
         self._sealed = True
+        if self._resumed is None:
+            # The rows and offsets now belong to the footer: undoing a
+            # fresh segment only deletes its file, while a resumed one
+            # reseals the records it resumed with.
+            self._offsets, self._rows = [], []
         return footer
 
     def abort(self) -> None:
@@ -362,14 +391,24 @@ class Segment:
         return tuple(self.tree(i) for i in range(lo, hi))
 
     def record_payload(self, position: int) -> bytes:
-        """Record ``position``'s pickled bytes, unvalidated — paired
-        with :meth:`SegmentWriter.append_raw` for copying rewrites."""
+        """Record ``position``'s pickled bytes, unvalidated."""
         if not 0 <= position < self.tree_count:
             raise IndexError(position)
         start = self._offsets[position]
         (length,) = _RECORD.unpack_from(self._view, start)
         begin = start + _RECORD.size
         return bytes(self._view[begin:begin + length])
+
+    def record_span(self, lo: int, hi: int) -> Tuple[int, int]:
+        """The byte range ``[start, end)`` that records ``[lo, hi)``
+        occupy, length prefixes included — what
+        :meth:`SegmentWriter.copy_records` copies."""
+        count = self.tree_count
+        if not 0 <= lo <= hi <= count:
+            raise IndexError((lo, hi))
+        start = self._offsets[lo] if lo < count else self._record_end
+        end = self._offsets[hi] if hi < count else self._record_end
+        return start, end
 
     def stats_row(self, position: int) -> list:
         """Record ``position``'s raw statistics footer row."""
@@ -492,8 +531,61 @@ def sidecar_path(segment_file: str) -> str:
     return base + SIDECAR_SUFFIX
 
 
+class BlobTable(NamedTuple):
+    """A sealed sidecar's blobs, or a segment's rebuilt ones: blob ``i``
+    is ``region[offsets[i]:offsets[i + 1]]``."""
+
+    offsets: Sequence[int]
+    #: The blob region: a view of a mapped sidecar, or ``bytes``.
+    region: object
+
+    @classmethod
+    def of(cls, blobs: Sequence[bytes]) -> "BlobTable":
+        """Fresh blobs laid out as one region."""
+        return cls(
+            tuple(accumulate(map(len, blobs), initial=0)), b"".join(blobs)
+        )
+
+
+class BlobRuns:
+    """The blobs of a sidecar being written: its offset table and the
+    byte runs that table indexes.  A fresh blob goes in alone; a run of
+    another table's blobs goes in as one slice of its region, with the
+    run's offsets shifted in one pass — how ``replace`` splices one blob
+    into a sidecar and ``compact`` moves whole runs."""
+
+    def __init__(self, blobs: Iterable[bytes] = ()):
+        self.offsets: List[int] = [0]
+        self.parts: list = []
+        for blob in blobs:
+            self.append(blob)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def append(self, blob: bytes) -> None:
+        self.offsets.append(self.offsets[-1] + len(blob))
+        self.parts.append(blob)
+
+    def copy(
+        self, table: BlobTable, lo: int = 0, hi: Optional[int] = None
+    ) -> None:
+        """Append blobs ``[lo, hi)`` of ``table`` (default: to its end)."""
+        offsets = table.offsets
+        if hi is None:
+            hi = len(offsets) - 1
+        if not 0 <= lo <= hi < len(offsets):
+            raise IndexError((lo, hi))
+        start = offsets[lo]
+        shift = self.offsets[-1] - start
+        self.offsets.extend(
+            [offset + shift for offset in offsets[lo + 1:hi + 1]]
+        )
+        self.parts.append(table.region[start:offsets[hi]])
+
+
 def write_sidecar(
-    path: str, segment_id: int, generation: int, blobs: List[bytes]
+    path: str, segment_id: int, generation: int, blobs: BlobRuns
 ) -> None:
     """Write an index sidecar atomically (write-aside then rename), so
     a crash leaves either the old sidecar or the new one, never a torn
@@ -501,17 +593,13 @@ def write_sidecar(
     aside = os.path.join(
         os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp"
     )
+    count = len(blobs)
     with open(aside, "wb") as handle:
         handle.write(_SIDECAR_HEADER.pack(
-            SIDECAR_MAGIC, SIDECAR_VERSION, segment_id, generation, len(blobs)
+            SIDECAR_MAGIC, SIDECAR_VERSION, segment_id, generation, count
         ))
-        position = 0
-        for blob in blobs:
-            handle.write(_OFFSET.pack(position))
-            position += len(blob)
-        handle.write(_OFFSET.pack(position))
-        for blob in blobs:
-            handle.write(blob)
+        handle.write(struct.pack(f"<{count + 1}Q", *blobs.offsets))
+        handle.writelines(blobs.parts)
         handle.write(SIDECAR_TRAILER)
         handle.flush()
         os.fsync(handle.fileno())
@@ -576,11 +664,22 @@ class Sidecar:
             )
         return self._mem[self._blob_base + start:self._blob_base + end]
 
-    def blobs(self, lo: int = 0, hi: Optional[int] = None) -> List[bytes]:
-        """Blobs ``[lo, hi)`` as real byte strings (splice/copy paths)."""
-        if hi is None:
-            hi = self.count
-        return [bytes(self.blob(i)) for i in range(lo, hi)]
+    def blob_table(self) -> BlobTable:
+        """Every blob at once: the offset table, read in one call, over
+        a zero-copy view of the blob region — the splice and copy paths.
+        The view pins the mapping, so a caller holding it drops this
+        sidecar instead of closing it."""
+        offsets = struct.unpack_from(
+            f"<{self.count + 1}Q", self._view, _SIDECAR_HEADER.size
+        )
+        if not all(map(operator.le, offsets, offsets[1:])):
+            raise StoreCorruptError(
+                f"sidecar {self.path}: offset table is not monotone"
+            )
+        return BlobTable(
+            offsets,
+            self._mem[self._blob_base:self._blob_base + offsets[-1]],
+        )
 
     def close(self) -> None:
         self._mem.release()

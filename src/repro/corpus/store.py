@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import secrets
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.index import (
@@ -55,6 +56,8 @@ from .executor import (
 )
 from .query import CorpusQuery
 from .segment import (
+    BlobRuns,
+    BlobTable,
     Segment,
     SegmentWriter,
     Sidecar,
@@ -169,21 +172,34 @@ def _release_writer_lock(lock_path: Optional[str]) -> None:
 
 def _aggregate(rows: Sequence[list]) -> Dict[str, object]:
     """Segment-level statistics summary from footer rows — everything
-    :meth:`CorpusStore.statistics` needs without reopening the segment."""
+    :meth:`CorpusStore.statistics` needs without reopening the segment.
+    Each sum runs over one column of the rows, in row order."""
+    n, height, leaves, label_counts, _, fanout, subtree, fingerprint = (
+        tuple(zip(*rows)) or ((),) * 8
+    )
     labels: Dict[str, int] = {}
-    for row in rows:
-        for name, count in row[3]:
-            labels[name] = labels.get(name, 0) + count
+    for name, count in chain.from_iterable(label_counts):
+        labels[name] = labels.get(name, 0) + count
     return {
         "trees": len(rows),
-        "nodes": sum(row[0] for row in rows),
-        "max_n": max((row[0] for row in rows), default=0),
-        "sum_height": sum(row[1] for row in rows),
-        "sum_leaves": sum(row[2] for row in rows),
-        "sum_fanout": sum(row[5] for row in rows),
-        "sum_subtree": sum(row[6] for row in rows),
+        "nodes": sum(n),
+        "max_n": max(n, default=0),
+        "sum_height": sum(height),
+        "sum_leaves": sum(leaves),
+        "sum_fanout": sum(fanout),
+        "sum_subtree": sum(subtree),
         "labels": dict(sorted(labels.items())),
-        "chain": _fingerprint("|".join(row[7] for row in rows)),
+        "chain": _fingerprint("|".join(fingerprint)),
+    }
+
+
+def _footer_entry(footer: Dict[str, object]) -> Dict[str, object]:
+    """What the manifest keeps of a sealed segment's footer: its counts
+    and statistics summary, not its per-record rows."""
+    return {
+        "trees": footer["trees"],
+        "nodes": footer["nodes"],
+        "summary": _aggregate(footer["stats"]),
     }
 
 
@@ -373,23 +389,19 @@ class CorpusStore:
     def _record_seal(
         self,
         segment_id: int,
-        footer: Dict[str, object],
+        sealed: Dict[str, object],
         known: bool,
         sidecar_gen: Optional[int] = None,
     ) -> None:
+        """Enter a sealed segment's :func:`_footer_entry` in the
+        manifest (``known``: in place of the entry with its id)."""
         segments: List[Dict[str, object]] = self._manifest["segments"]
         name = (
             segments[[s["id"] for s in segments].index(segment_id)]["name"]
             if known
             else _segment_name(segment_id)
         )
-        entry = {
-            "name": name,
-            "id": segment_id,
-            "trees": footer["trees"],
-            "nodes": footer["nodes"],
-            "summary": _aggregate(footer["stats"]),
-        }
+        entry = {"name": name, "id": segment_id, **sealed}
         if sidecar_gen is not None:
             entry["sidecar_gen"] = sidecar_gen
         if known:
@@ -420,8 +432,10 @@ class CorpusStore:
         tag = self.generation + 1 if self._use_sidecars else None
         writer: Optional[SegmentWriter] = None
         sealed: List[SegmentWriter] = []
-        footers: List[Dict[str, object]] = []
-        blobs: List[bytes] = []
+        # Only what the manifest takes of each sealed footer stays until
+        # the stream ends: ingest memory must not grow with the corpus.
+        entries: List[Dict[str, object]] = []
+        blobs = BlobRuns()
         appended = 0
 
         def seal(writer: SegmentWriter) -> None:
@@ -436,7 +450,7 @@ class CorpusStore:
                     sidecar_path(writer.path), writer.segment_id, tag, blobs
                 )
             sealed.append(writer)
-            footers.append(footer)
+            entries.append(_footer_entry(footer))
 
         try:
             for tree in trees:
@@ -446,12 +460,11 @@ class CorpusStore:
                         f"{type(tree).__name__}"
                     )
                 if writer is None:
+                    blobs = BlobRuns()
                     if tail is not None and not sealed:
                         entry = segments[tail]
-                        blobs = (
-                            self._segment_blobs(tail)
-                            if tag is not None else []
-                        )
+                        if tag is not None:
+                            blobs.copy(self._segment_blobs(tail))
                         self._evict_segment(tail)
                         writer = SegmentWriter.resume(
                             os.path.join(self.path, entry["name"]),
@@ -463,7 +476,6 @@ class CorpusStore:
                             next_id,
                         )
                         next_id += 1
-                        blobs = []
                 writer.append(tree)
                 if tag is not None:
                     blobs.append(serialize_index(index_for(tree)))
@@ -488,9 +500,9 @@ class CorpusStore:
             if tail is not None and opened:
                 self._sidecar_ok.pop(tail, None)
             raise
-        for position, (done, footer) in enumerate(zip(sealed, footers)):
+        for position, (done, entry) in enumerate(zip(sealed, entries)):
             self._record_seal(
-                done.segment_id, footer, tail is not None and position == 0,
+                done.segment_id, entry, tail is not None and position == 0,
                 sidecar_gen=tag,
             )
         if appended:
@@ -508,10 +520,11 @@ class CorpusStore:
     ) -> None:
         """Replace the tree at ``position``; rewrites its segment.
 
-        Only the edited record is encoded: every other record and its
-        footer statistics row is copied byte-for-byte
-        (:meth:`SegmentWriter.append_raw`) into a write-aside file that
-        ``os.replace`` swaps in.
+        Only the edited record is encoded: the records before and after
+        it, with their footer statistics rows, are copied byte-for-byte
+        as two ranges (:meth:`SegmentWriter.copy_records`) into a
+        write-aside file that ``os.replace`` swaps in, and the sidecar
+        is the old blob region's two slices around the fresh blob.
 
         With ``site`` (the root node of the edited subtree, as produced
         by :meth:`Tree.replace_subtree`), the old tree — the one record
@@ -522,6 +535,10 @@ class CorpusStore:
         stale worker caches and plans can never answer for the old
         corpus."""
         self._writable()
+        if not isinstance(tree, Tree):
+            raise TypeError(
+                f"replace expects Tree instances, got {type(tree).__name__}"
+            )
         segment_index, local = self._locate(position)
         entry = self._manifest["segments"][segment_index]
         segment = self._segment(segment_index)
@@ -533,21 +550,18 @@ class CorpusStore:
         # Splice the sidecar, not just the segment: unchanged records
         # keep their blobs byte-for-byte (rebuilt from the records when
         # no valid sidecar exists), the edited record gets the repaired
-        # (or rebuilt) index serialized fresh.
-        blobs = (
+        # (or rebuilt) index serialized fresh.  The table views the old
+        # sidecar's mapping, which outlives the unlink below.
+        table = (
             self._segment_blobs(segment_index) if self._use_sidecars else None
         )
         rewrite_path = segment_path + ".rewrite"
         side_path = sidecar_path(segment_path)
         writer = SegmentWriter(rewrite_path, entry["id"])
         try:
-            for i in range(segment.tree_count):
-                if i == local:
-                    writer.append(tree)
-                else:
-                    writer.append_raw(
-                        segment.record_payload(i), segment.stats_row(i)
-                    )
+            writer.copy_records(segment, 0, local)
+            writer.append(tree)
+            writer.copy_records(segment, local + 1, segment.tree_count)
             footer = writer.seal()
             self._evict_segment(segment_index)
             # Retire the old sidecar *before* the segment bytes move: no
@@ -560,12 +574,15 @@ class CorpusStore:
             raise
         next_gen = self.generation + 1
         self._record_seal(
-            entry["id"], footer, True,
+            entry["id"], _footer_entry(footer), True,
             sidecar_gen=next_gen if self._use_sidecars else None,
         )
         try:
-            if blobs is not None:
-                blobs[local] = serialize_index(index_for(tree))
+            if table is not None:
+                blobs = BlobRuns()
+                blobs.copy(table, 0, local)
+                blobs.append(serialize_index(index_for(tree)))
+                blobs.copy(table, local + 1)
                 write_sidecar(side_path, entry["id"], next_gen, blobs)
         finally:
             # The segment bytes have moved: bump even if the sidecar
@@ -608,19 +625,21 @@ class CorpusStore:
     def _read_valid_sidecar(self, segment_index: int, read):
         """``read(sidecar)`` on a segment's open sidecar, or ``None``
         when the sidecar is missing, corrupt, or tagged for a different
-        version of the segment's bytes."""
+        version of the segment's bytes.  The sidecar is dropped, never
+        closed: ``read`` may return views of its mapping, which stays
+        valid for as long as they live."""
         entry = self._manifest["segments"][segment_index]
         tag = entry.get("sidecar_gen")
         if tag is None:
             return None
         try:
-            with Sidecar(self._sidecar_file(segment_index)) as sidecar:
-                if (
-                    sidecar.segment_id == entry["id"]
-                    and sidecar.generation == tag
-                    and sidecar.count == entry["trees"]
-                ):
-                    return read(sidecar)
+            sidecar = Sidecar(self._sidecar_file(segment_index))
+            if (
+                sidecar.segment_id == entry["id"]
+                and sidecar.generation == tag
+                and sidecar.count == entry["trees"]
+            ):
+                return read(sidecar)
         except (OSError, StoreError):
             pass
         return None
@@ -633,13 +652,13 @@ class CorpusStore:
             for i in range(segment.tree_count)
         ]
 
-    def _segment_blobs(self, segment_index: int) -> List[bytes]:
-        """Every index blob of a segment — from its sidecar when the
-        generation tag matches, else rebuilt from the records."""
-        existing = self._read_valid_sidecar(segment_index, Sidecar.blobs)
+    def _segment_blobs(self, segment_index: int) -> BlobTable:
+        """Every index blob of a segment — a view of its sidecar when
+        the generation tag matches, else rebuilt from the records."""
+        existing = self._read_valid_sidecar(segment_index, Sidecar.blob_table)
         if existing is not None:
             return existing
-        return self._record_blobs(segment_index)
+        return BlobTable.of(self._record_blobs(segment_index))
 
     def _rebuild_sidecar(
         self, segment_index: int
@@ -650,7 +669,7 @@ class CorpusStore:
         entry = self._manifest["segments"][segment_index]
         path = self._sidecar_file(segment_index)
         tag = self.generation
-        blobs = self._record_blobs(segment_index)
+        blobs = BlobRuns(self._record_blobs(segment_index))
         write_sidecar(path, entry["id"], tag, blobs)
         entry["sidecar_gen"] = tag
         self._save_manifest()
@@ -757,7 +776,7 @@ class CorpusStore:
                 # it forces a lazy rebuild instead.
                 _unlink(sidecar_path(segment_path))
                 footer = recover_segment(segment_path)
-                self._record_seal(entry["id"], footer, True)
+                self._record_seal(entry["id"], _footer_entry(footer), True)
                 repaired += 1
         if repaired:
             self._bump()
@@ -785,17 +804,14 @@ class CorpusStore:
         old_files = [os.path.join(self.path, e["name"]) for e in segments]
         new_entries: List[Dict[str, object]] = []
         writer: Optional[SegmentWriter] = None
-        blobs: List[bytes] = []
+        blobs = BlobRuns()
         new_id = 0
 
         def seal(writer: SegmentWriter) -> None:
-            footer = writer.seal()
             entry = {
                 "name": os.path.basename(writer.path),
                 "id": writer.segment_id,
-                "trees": footer["trees"],
-                "nodes": footer["nodes"],
-                "summary": _aggregate(footer["stats"]),
+                **_footer_entry(writer.seal()),
             }
             if self._use_sidecars:
                 entry["sidecar_gen"] = next_gen
@@ -808,23 +824,28 @@ class CorpusStore:
         try:
             for segment_index in range(len(segments)):
                 segment = self._segment(segment_index)
-                src_blobs = (
+                table = (
                     self._segment_blobs(segment_index)
                     if self._use_sidecars else None
                 )
-                for i in range(segment.tree_count):
+                lo = 0
+                while lo < segment.tree_count:
                     if writer is None:
                         name = f"seg-{new_id:05d}-g{next_gen}.seg"
                         writer = SegmentWriter(
                             os.path.join(self.path, name), new_id
                         )
                         new_id += 1
-                        blobs = []
-                    writer.append_raw(
-                        segment.record_payload(i), segment.stats_row(i)
+                        blobs = BlobRuns()
+                    # The longest run that fits the segment being written.
+                    hi = min(
+                        segment.tree_count,
+                        lo + self.segment_size - writer.tree_count,
                     )
-                    if src_blobs is not None:
-                        blobs.append(src_blobs[i])
+                    writer.copy_records(segment, lo, hi)
+                    if table is not None:
+                        blobs.copy(table, lo, hi)
+                    lo = hi
                     if writer.tree_count >= self.segment_size:
                         seal(writer)
                         writer = None

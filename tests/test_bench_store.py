@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import bench
+from repro.corpus.store import DEFAULT_SEGMENT_SIZE
 
 pytestmark = pytest.mark.store
 
@@ -46,7 +47,15 @@ def test_quick_store_benchmark_writes_wellformed_json(tmp_path):
         assert 0 < row["min_speedup"] <= row["median_speedup"]
         assert row["median_speedup"] <= row["max_speedup"]
     assert len(report["store"]["queries"]) == len(bench.STORE_QUERIES)
+    replace = report["store"]["replace"]
+    assert replace["segment_size"] == DEFAULT_SEGMENT_SIZE
+    assert replace["edits"] == bench.STORE_REPLACE_EDITS_QUICK
+    assert replace["wall_ms"] > 0 and replace["cpu_ms"] > 0
+    assert replace["bytes_written"] > 0
     summary = report["summary"]
+    assert summary["store_replace_wall_ms"] == replace["wall_ms"]
+    assert summary["store_replace_cpu_ms"] == replace["cpu_ms"]
+    assert summary["store_replace_bytes_written"] == replace["bytes_written"]
     assert summary["errors"] == 0
     assert summary["store_max_trees"] == bench.STORE_TREE_COUNTS_QUICK[-1]
     assert summary["store_warm_flat_ratio"] > 0
@@ -72,6 +81,9 @@ def test_store_benchmark_is_agreement_checked(monkeypatch):
         assert "disagrees" in str(err)
     else:  # pragma: no cover
         raise AssertionError("expected the differential guard to fire")
+    # ...and the replace cost is timed only after an edited window agrees.
+    with pytest.raises(AssertionError, match="disagrees"):
+        bench.run_replace_benchmark(seed=0, edits=1, errors=[])
 
 
 def test_committed_store_trajectory_matches_schema():
@@ -95,6 +107,10 @@ def test_committed_store_trajectory_matches_schema():
             summary["store_warm_median_speedup_at_max_size"]
             >= bench.CHECK_FLOOR
         )
+        # Reported, not gated: a replace's absolute cost.
+        assert summary["store_replace_wall_ms"] > 0
+        assert summary["store_replace_cpu_ms"] > 0
+        assert summary["store_replace_bytes_written"] > 0
 
 
 def test_check_rejects_a_store_trajectory_below_its_gates(tmp_path):

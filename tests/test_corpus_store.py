@@ -10,10 +10,14 @@ and the query path — serial, fanned-out, windowed, and after in-place
 """
 
 import copy
+import gc
 import hashlib
 import json
 import os
 import shutil
+import struct
+import tracemalloc
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -25,11 +29,13 @@ from repro.corpus import (
     CorpusStore,
     Segment,
     SegmentWriter,
+    Sidecar,
     StoreCorruptError,
     StoreError,
     StoreMissingError,
     StoreVersionError,
     recover_segment,
+    sidecar_path,
 )
 from repro.corpus import executor
 from repro.corpus import store as store_module
@@ -40,7 +46,16 @@ from repro.corpus.query import (
     select_query,
     xpath_query,
 )
-from repro.corpus.segment import _stats_row
+from repro.corpus.segment import (
+    FORMAT_VERSION,
+    MAGIC,
+    SIDECAR_MAGIC,
+    SIDECAR_TRAILER,
+    SIDECAR_VERSION,
+    TRAILER,
+    _stats_row,
+)
+from repro.engine.index import TreeIndex, index_cache_clear, serialize_index
 from repro.engine.stats import TreeStatistics
 from repro.trees.generators import random_tree
 
@@ -347,6 +362,37 @@ def test_a_failed_ingest_leaves_the_store_files_as_they_were(
         assert {c.source for c in result.chunks} == {"lanes"}
 
 
+def test_ingest_memory_does_not_grow_with_the_segments_it_seals(
+    tmp_path, monkeypatch
+):
+    """Streaming ingest holds one segment's footer rows, not those of
+    every segment it has sealed: what it holds after its 40th seal is
+    within a quarter of what it held after its 10th."""
+    held = []
+    seal = SegmentWriter.seal
+
+    def measuring(writer):
+        footer = seal(writer)
+        gc.collect()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return footer
+
+    monkeypatch.setattr(SegmentWriter, "seal", measuring)
+    trees = (
+        random_tree(12, value_pool=(1, 2), max_children=3, seed=i)
+        for i in range(32 * 40)
+    )
+    index_cache_clear()
+    tracemalloc.start()
+    try:
+        with CorpusStore.create(str(tmp_path / "s"), segment_size=32) as store:
+            store.ingest(trees)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 40
+    assert held[-1] - held[9] < held[9] / 4
+
+
 @pytest.mark.parametrize("tail", ["fresh", "resumed"])
 def test_a_failed_multi_segment_ingest_takes_back_every_segment_it_sealed(
     tmp_path, tail
@@ -451,23 +497,117 @@ def _segment_file(store, segment_index):
     return os.path.join(store.path, entry["name"])
 
 
-def test_replace_copies_untouched_records_byte_for_byte(tmp_path):
-    trees = _trees(12, seed=8)
-    with CorpusStore.create(str(tmp_path / "s"), segment_size=5) as store:
+def _per_record_segment(segment_id, payloads, rows):
+    """A segment file written record by record, as its format spells
+    it: header, length-prefixed records, JSON footer, trailer."""
+    body = bytearray(struct.pack("<8sII", MAGIC, FORMAT_VERSION, segment_id))
+    offsets = []
+    for payload in payloads:
+        offsets.append(len(body))
+        body += struct.pack("<I", len(payload)) + payload
+    footer = json.dumps(
+        {
+            "segment": segment_id,
+            "trees": len(payloads),
+            "nodes": sum(row[0] for row in rows),
+            "record_end": len(body),
+            "offsets": offsets,
+            "stats": rows,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return bytes(body) + footer + struct.pack("<I8s", len(footer), TRAILER)
+
+
+def _per_blob_sidecar(segment_id, generation, blobs):
+    """A sidecar file written blob by blob: header, one offset per
+    blob plus the end, the blobs, trailer."""
+    header = struct.pack(
+        "<8sIIQI", SIDECAR_MAGIC, SIDECAR_VERSION, segment_id, generation,
+        len(blobs),
+    )
+    offsets, position = [], 0
+    for blob in blobs:
+        offsets.append(struct.pack("<Q", position))
+        position += len(blob)
+    offsets.append(struct.pack("<Q", position))
+    return header + b"".join(offsets) + b"".join(blobs) + SIDECAR_TRAILER
+
+
+@pytest.mark.parametrize(
+    "sidecars", [True, False], ids=["sidecar", "nosidecar"]
+)
+@pytest.mark.parametrize("with_site", [True, False], ids=["site", "nosite"])
+@pytest.mark.parametrize(
+    "position", [5, 7, 9, 10], ids=["first", "middle", "last", "tail"]
+)
+def test_replace_copies_untouched_records_byte_for_byte(
+    tmp_path, position, with_site, sidecars
+):
+    """A replace copies the records around the edited one as two byte
+    ranges and splices the sidecar's blob region around the fresh blob:
+    the files equal a record-by-record rewrite of the model segment at
+    the first, a middle and the last slot of a full segment and in a
+    one-tree tail segment, where both ranges are empty."""
+    trees = _trees(11, seed=8)  # segments of 5, 5 and 1 trees
+    with CorpusStore.create(
+        str(tmp_path / "s"), segment_size=5, sidecars=sidecars
+    ) as store:
         store.ingest(trees)
-        with Segment(_segment_file(store, 1)) as segment:
-            payloads = [segment.record_payload(i) for i in range(5)]
-            rows = [segment.stats_row(i) for i in range(5)]
-        edited, site = _edited(trees[6], seed=97)
-        store.replace(6, edited, site=site)
-        with Segment(_segment_file(store, 1)) as segment:
-            for i in (0, 2, 3, 4):
-                assert segment.record_payload(i) == payloads[i]
-                assert segment.stats_row(i) == rows[i]
-            assert segment.stats_row(1) == _stats_row(
-                TreeStatistics.from_tree(edited)
+        segment_index, local = divmod(position, 5)
+        path = _segment_file(store, segment_index)
+        side = sidecar_path(path)
+        with Segment(path) as segment:
+            payloads = [segment.record_payload(i) for i in range(len(segment))]
+            rows = [segment.stats_row(i) for i in range(len(segment))]
+        if sidecars:
+            with Sidecar(side) as sidecar:
+                blobs = [bytes(sidecar.blob(i)) for i in range(len(sidecar))]
+        edited, site = _edited(trees[position], seed=97)
+        store.replace(position, edited, site=site if with_site else None)
+        with Segment(path) as segment:
+            assert _same_tree(segment.tree(local), edited)
+            payloads[local] = segment.record_payload(local)
+        rows[local] = _stats_row(TreeStatistics.from_tree(edited))
+        assert Path(path).read_bytes() == _per_record_segment(
+            segment_index, payloads, rows
+        )
+        if sidecars:
+            # The repaired index serializes like a fresh build.
+            blobs[local] = serialize_index(TreeIndex(edited))
+            tag = store._manifest["segments"][segment_index]["sidecar_gen"]
+            assert tag == store.generation
+            assert Path(side).read_bytes() == _per_blob_sidecar(
+                segment_index, tag, blobs
             )
-            assert _same_tree(segment.tree(1), edited)
+        else:
+            assert not os.path.exists(side)
+
+
+@pytest.mark.parametrize(
+    "value", ["x", None, ("σ", ())], ids=["str", "none", "tuple"]
+)
+def test_replace_rejects_non_tree_input_before_touching_the_store(
+    tmp_path, value
+):
+    """``replace`` raises ingest's ``TypeError`` for anything but a
+    ``Tree``, before it opens a segment: every file and the generation
+    stay as they were."""
+    root = str(tmp_path / "s")
+
+    def files():
+        return {
+            name: Path(root, name).read_bytes() for name in os.listdir(root)
+        }
+
+    with CorpusStore.create(root, segment_size=5) as store:
+        store.ingest(_trees(7, seed=16))
+        before, generation = files(), store.generation
+        with pytest.raises(TypeError, match="replace expects Tree instances"):
+            store.replace(2, value)
+        assert store._segments == {}
+        assert files() == before
+        assert store.generation == generation
 
 
 @pytest.mark.parametrize("sidecars", [True, False], ids=["sidecar", "nosidecar"])
@@ -532,6 +672,7 @@ def _crash_before(*args, **kwargs):
 @pytest.mark.parametrize(
     "step, outcome",
     [
+        ("copy_records", "old"),
         ("seal", "old"),
         ("os.replace", "new"),
         ("write_sidecar", "new"),
@@ -551,7 +692,18 @@ def test_replace_crash_at_any_step_reopens_to_old_or_new(
     store.ingest(trees)
     edited, site = _edited(trees[6], seed=94)
     segment_path = _segment_file(store, 1)
-    if step == "seal":
+    if step == "copy_records":
+        copy_records = SegmentWriter.copy_records
+
+        def crashing_copy(writer, segment, lo, hi):
+            copy_records(writer, segment, lo, hi)
+            # Tree 6 is slot 1: the prefix range is written, the edited
+            # record is not.
+            assert (lo, hi) == (0, 1)
+            raise _Crash()
+
+        monkeypatch.setattr(SegmentWriter, "copy_records", crashing_copy)
+    elif step == "seal":
         seal = SegmentWriter.seal
 
         def crashing_seal(writer):

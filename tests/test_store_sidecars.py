@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from repro.__main__ import main
 from repro.bench import _naive_corpus_rows
 from repro.corpus import (
+    BlobRuns,
     CorpusStore,
     Sidecar,
     StoreError,
@@ -174,14 +175,22 @@ def test_any_truncated_index_blob_raises_never_misparses(data):
 def test_sidecar_round_trips_blob_bytes(tmp_path):
     blobs = [serialize_index(TreeIndex(t)) for t in _trees(6)]
     path = str(tmp_path / "seg-00000.seg.rpridx")
-    write_sidecar(path, 4, 17, blobs)
+    write_sidecar(path, 4, 17, BlobRuns(blobs))
     with Sidecar(path) as sidecar:
         assert sidecar.segment_id == 4
         assert sidecar.generation == 17
         assert len(sidecar) == 6
         for i, blob in enumerate(blobs):
             assert bytes(sidecar.blob(i)) == blob
-        assert sidecar.blobs(2, 5) == blobs[2:5]
+    # A run of blobs copies as one slice of the region, its offsets
+    # shifted to where it lands.  The slice pins the mapping, so this
+    # sidecar is dropped, not closed.
+    table = Sidecar(path).blob_table()
+    assert bytes(table.region) == b"".join(blobs)
+    runs = BlobRuns(blobs[:1])
+    runs.copy(table, 2, 5)
+    assert runs.offsets == BlobRuns(blobs[:1] + blobs[2:5]).offsets
+    assert b"".join(runs.parts) == b"".join(blobs[:1] + blobs[2:5])
 
 
 def test_sidecar_path_swaps_the_segment_extension():
@@ -194,7 +203,7 @@ def test_any_torn_sidecar_raises_never_returns_bytes(tmp_path_factory, data):
     tmp_path = tmp_path_factory.mktemp("sidecar-torn")
     blobs = [serialize_index(TreeIndex(t)) for t in _trees(5, seed=2)]
     path = str(tmp_path / "torn.rpridx")
-    write_sidecar(path, 0, 3, blobs)
+    write_sidecar(path, 0, 3, BlobRuns(blobs))
     whole = Path(path).read_bytes()
     cut = data.draw(st.integers(min_value=0, max_value=len(whole) - 1))
     with open(path, "wb") as handle:
@@ -206,7 +215,7 @@ def test_any_torn_sidecar_raises_never_returns_bytes(tmp_path_factory, data):
 def test_sidecar_rejects_interior_corruption(tmp_path):
     blobs = [serialize_index(TreeIndex(t)) for t in _trees(4, seed=6)]
     path = str(tmp_path / "flip.rpridx")
-    write_sidecar(path, 0, 1, blobs)
+    write_sidecar(path, 0, 1, BlobRuns(blobs))
     whole = bytearray(Path(path).read_bytes())
     # Make the offset table non-monotone: blob 2's start above its end.
     offset_at = struct.calcsize("<8sIIQI") + 8 * 2
@@ -216,6 +225,9 @@ def test_sidecar_rejects_interior_corruption(tmp_path):
     with pytest.raises(StoreError):
         with Sidecar(path) as sidecar:
             sidecar.blob(2)
+    with pytest.raises(StoreError):  # the splice path's whole-table read
+        with Sidecar(path) as sidecar:
+            sidecar.blob_table()
 
 
 # ---------------------------------------------------------------------------
