@@ -52,9 +52,10 @@ to the best manual pick per (query, size) cell.
 
 ``python -m repro.bench --check [files...]`` re-reads committed
 ``BENCH_*.json`` trajectories and fails if any reports a median
-speedup below 1.0 — the "the engine never lost ground" ratchet.  The
-planner trajectory is additionally held to its pick-rate and overhead
-gates, and every trajectory must report zero per-case errors.
+speedup below 1.0 — the "the engine never lost ground" ratchet — or,
+at full size, a figure below the gate its own suite applies to a
+fresh run (:data:`CHECK_GATES`).  Every trajectory must report zero
+per-case errors.
 """
 
 from __future__ import annotations
@@ -341,14 +342,32 @@ _MEDIAN_FLOOR = ("*_median_speedup_at_max_size", ">=", CHECK_FLOOR, False)
 #: ``(summary key, op, bound, full_only)``.  ``op`` is ``"=="``,
 #: ``">="``, ``"<="`` or ``"0<x<="`` (positive and at most the
 #: bound); ``full_only`` gates bind full-size reports only, since
-#: quick sweeps are too small to clear speed floors.  The serve and
-#: coldpath suites have no reference engine to beat, so they carry no
-#: median floor: their gates are correctness plus their own speed
+#: quick sweeps are too small to clear speed floors.  Each suite's
+#: gates are the ones a fresh run of it passes or fails on.  The serve
+#: and coldpath suites have no reference engine to beat, so they carry
+#: no median floor: their gates are correctness plus their own speed
 #: floors.
 CHECK_GATES = {
+    "repro-bench-engine": (
+        _MEDIAN_FLOOR,
+        ("fo_median_speedup_at_max_size", ">=", FO_THRESHOLD, True),
+        ("xpath_median_speedup_at_max_size", ">=", XPATH_THRESHOLD, True),
+    ),
+    "repro-bench-walk": (
+        _MEDIAN_FLOOR,
+        ("caterpillar_median_speedup_at_max_size", ">=",
+         CATERPILLAR_THRESHOLD, True),
+        ("twa_median_speedup_at_max_size", ">=", TWA_THRESHOLD, True),
+    ),
+    "repro-bench-corpus": (
+        _MEDIAN_FLOOR,
+        ("corpus_median_speedup_at_max_size", ">=",
+         CORPUS_BATCH_THRESHOLD, True),
+    ),
     "repro-bench-serve": (
         ("serve_wrong_answers", "==", 0, False),
         ("serve_fault_error_rate", "==", 0.0, False),
+        ("serve_fault_degraded_chunks", ">=", 1, False),
         ("serve_scale_at_8_clients", ">=", SERVE_SCALE_THRESHOLD, True),
         ("serve_fault_p99_ratio", "0<x<=", SERVE_FAULT_P99_THRESHOLD, True),
     ),
@@ -377,7 +396,7 @@ CHECK_GATES = {
         _MEDIAN_FLOOR,
         ("kernel_median_speedup_at_max_size", ">=", KERNEL_THRESHOLD, True),
     ),
-    "repro-bench-": (_MEDIAN_FLOOR,),  # engine, walk, corpus, …
+    "repro-bench-": (_MEDIAN_FLOOR,),
 }
 
 
@@ -2524,6 +2543,7 @@ def main(argv: Sequence[str] = None) -> int:
         default=None,
         help="instead of benchmarking, verify committed BENCH_*.json "
         "trajectories never report a median speedup below 1.0 "
+        "and clear their suites' own gates "
         "(default: all BENCH_*.json in the current directory)",
     )
     opts = parser.parse_args(argv)
@@ -2539,7 +2559,7 @@ def main(argv: Sequence[str] = None) -> int:
             print(f"bench-check: {line}")
         if not failures:
             print(f"bench-check: {len(paths)} trajectories clear the "
-                  f"{CHECK_FLOOR:.1f}x floor")
+                  f"{CHECK_FLOOR:.1f}x floor and their suites' gates")
         return 1 if failures else 0
     if opts.suite == "coldpath":
         report = run_coldpath_suite(

@@ -21,7 +21,9 @@ Contract points the callers rely on (and the tests pin):
 * ``maxsize=0`` disables storage but still counts every probe as a
   miss; negative sizes are rejected at construction.
 * The mapping protocol (``in``, ``iter``, ``len``) is exposed read-only
-  so tests can assert on residency and eviction order.
+  so tests can assert on residency and eviction order; ``iter`` walks a
+  snapshot of the keys, so a caller may :meth:`~KeyedLRU.pop` while
+  iterating.
 * Every cache operation holds an internal :class:`threading.RLock`:
   the query service shares the process-wide plan/index caches across
   concurrent sessions, and an unlocked ``move_to_end`` racing an
@@ -134,6 +136,12 @@ class KeyedLRU(Generic[K, V]):
                 data.popitem(last=False)
             data[key] = value
 
+    def pop(self, key: K, default: Optional[V] = None) -> Optional[V]:
+        """Remove ``key``'s entry, if any, without touching statistics;
+        returns its value (``default`` when absent)."""
+        with self._lock:
+            return self._data.pop(key, default)
+
     # -- statistics ------------------------------------------------------------
 
     @property
@@ -163,7 +171,10 @@ class KeyedLRU(Generic[K, V]):
         return key in self._data
 
     def __iter__(self) -> Iterator[K]:
-        return iter(self._data)
+        # A snapshot: another thread's insert or eviction cannot break
+        # an iteration in progress.
+        with self._lock:
+            return iter(list(self._data))
 
     def __len__(self) -> int:
         return len(self._data)

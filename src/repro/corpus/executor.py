@@ -32,17 +32,14 @@ of the corpus:
 
 Each chunk travels as one frozen :class:`ChunkTask`.  A worker process
 (or the parent, serially, where many service threads share it) keeps
-four pieces of warm state, each a 64-entry
-:class:`~repro.caching.KeyedLRU`: the trees and indexes of one corpus
-token's tree-path chunks, keyed by window; the open segment files and
-open index sidecars, keyed by store and file path and tagged with the
-generation the file was opened under; and the stacked shards of
-lane-served windows asked for more than once, keyed by store, sidecar
-path, sidecar tag and window.  A sidecar's entry also holds the
-:class:`PackedIndex` lane parsed from each of its records, so
-overlapping windows parse a record once.  An evicted segment or
-sidecar is dropped, never closed: its mapping stays valid for every
-reader still using it, and goes away when the last one lets go.
+its warm state in four 64-entry :class:`~repro.caching.KeyedLRU` maps
+of typed records: the open segments and index sidecars of
+:mod:`repro.corpus.segment`, which the store's own reads share (a
+sidecar's entry also holds the :class:`PackedIndex` lane parsed from
+each of its records, so overlapping windows parse a record once), and
+this module's warm :class:`Window` of each chunk — its trees and its
+stacked shard — and the lane windows asked for once.  A kept window is
+never stacked again.
 
 Resilience (the PR-4 contract, lifted to chunks): the fast attempt of a
 chunk runs under an optional per-chunk :class:`~repro.resilience.Budget`
@@ -80,7 +77,7 @@ from ..resilience.errors import EngineError, ResourceExhausted
 from ..resilience.faults import Fault, FaultInjector
 from ..trees.tree import Tree
 from .query import CorpusQuery
-from .segment import Segment, Sidecar, StoreError
+from .segment import SidecarSpec, StoreError, open_segment, open_sidecar
 
 __all__ = [
     "ChunkReport", "BatchResult", "ResultRows", "WorkerPools", "run_batch",
@@ -232,16 +229,17 @@ def evaluate_cell(query: CorpusQuery, tree: Tree, engine: str = "fast"):
 class Shard(NamedTuple):
     """A store chunk's byte coordinates: records ``[lo, hi)`` of the
     segment file at ``path`` as of store ``generation``.  ``sidecar`` —
-    ``(sidecar path, generation tag)`` or ``None`` — names the
-    segment's index sidecar, and ``store`` the store's identity, which
-    every worker cache keys on: two stores created one after the other
-    at one path share file paths, generations and tags."""
+    a :class:`~repro.corpus.segment.SidecarSpec` or ``None`` — names the
+    segment's index sidecar and what it must say of itself, and
+    ``store`` the store's identity, which the maps of open store files
+    key on: two stores created one after the other at one path share
+    file paths, generations and tags."""
 
     path: str
     generation: int
     lo: int
     hi: int
-    sidecar: Optional[Tuple[str, int]]
+    sidecar: Optional[SidecarSpec]
     store: str
 
 
@@ -272,51 +270,32 @@ class ChunkTask:
     shard: Optional[Shard] = None
 
 
-#: How many chunks each warm map holds per process: the tree-path
-#: chunks of one corpus token, and the stacked shards of lane-served
-#: windows.  Lane-served store chunks never enter the tree-path map;
-#: every chunk that runs on trees does (sidecars off or invalid, an
-#: explicit ``reference`` batch, a query without an IR plan, routed
-#: ``TreeCorpus`` windows), so both are bounded rather than growing
-#: with every distinct window.
+#: How many warm windows each process keeps, however many distinct
+#: windows are asked for.
 _WARM_CHUNKS = 64
 
-#: Worker-side warm chunks: ``{token: KeyedLRU((start, stop) → (trees,
-#: indexes))}``.  A persistent pool's worker fills it on its first
-#: batch over a corpus and then skips tree shipping, revalidation and
-#: index rebuilds on every later batch; a routed worker that evicted a
-#: chunk answers :data:`_CACHE_MISS` and the parent reruns it.  A new
-#: token retires the old one's chunks, so it holds one corpus's chunks
-#: at most.  ``indexes`` is ``None`` for a chunk warmed by an engine
-#: that reads none (the reference evaluators); the first chunk on an
-#: engine that does builds them.
-_WORKER_CHUNKS: Dict[str, KeyedLRU] = {}
 
-#: Worker-side open segments: ``(store, path) → (generation,
-#: Segment)``.  A request under another generation (any store
-#: mutation) replaces the entry.  Evicted segments are dropped, never
-#: closed: a thread still reading one keeps its mapping alive until it
-#: is done.
-_WORKER_SEGMENTS = KeyedLRU(64, name="worker segments")
+class Window(NamedTuple):
+    """One chunk's warm state: its trees (``None`` when stacked from
+    sidecar lanes) and its stacked shard (``None`` until an engine that
+    reads indexes runs on it), which pins the trees' indexes."""
 
-#: Worker-side open index sidecars: ``(store, path) → (tag, Sidecar |
-#: None, {record: PackedIndex})``.  ``None`` caches a validation
-#: failure, so a corrupt or stale sidecar costs one open per tag, not
-#: one per chunk.  Each record's lane is parsed once, whatever windows
-#: cover it; lanes are zero-copy views of the sidecar's mapping and
-#: keep it alive while anything holds them.
-_WORKER_SIDECARS = KeyedLRU(64, name="worker sidecars")
+    trees: Optional[Tuple[Tree, ...]]
+    shard: Optional[StackedShard]
 
-#: Worker-side stacked shards of lane-served windows: ``(store, sidecar
-#: path, tag, lo, hi) → StackedShard``, stacked from that sidecar's
-#: lanes.  A rewritten sidecar carries a new tag (and a new store a new
-#: id), so it can never be answered from a shard of the old bytes.  A
-#: shard is kept from its window's second request on
-#: (:data:`_ASKED_ONCE` remembers the first): stacking costs less than a
-#: map entry's upkeep for a window nobody asks for again.
-_WORKER_SHARDS = KeyedLRU(_WARM_CHUNKS, name="worker shards")
 
-#: The lane-served windows stacked once and not kept, same keys.
+#: Warm windows, keyed by ``(token, start, stop, sidecar tag or
+#: None)``: the token names an immutable tree sequence (a store's
+#: embeds its generation), and the tag keeps a lane window apart from
+#: a sidecars-off handle's tree window of the same range.  A window
+#: that loaded or was shipped trees is kept at once, since a routed
+#: worker's later batches ship none (:func:`_wire`); a lane window is
+#: kept from its second request on (:data:`_ASKED_ONCE` remembers the
+#: first), since stacking costs less than an entry's upkeep for a
+#: window nobody asks for again.
+_WINDOWS = KeyedLRU(_WARM_CHUNKS, name="warm windows")
+
+#: The lane windows stacked once and not kept, same keys.
 _ASKED_ONCE = KeyedLRU(_WARM_CHUNKS, name="windows asked once")
 
 #: Returned by a worker asked to run a chunk from warm state it does
@@ -325,74 +304,46 @@ _ASKED_ONCE = KeyedLRU(_WARM_CHUNKS, name="windows asked once")
 _CACHE_MISS = "__corpus_chunk_cache_miss__"
 
 
-def _shard_trees(shard: Shard) -> Tuple[Tree, ...]:
-    """Materialize one shard: map its segment (once per generation)
-    and unpickle only records ``[lo, hi)`` — the store fan-out path
-    where the parent ships byte coordinates instead of trees."""
-    key = (shard.store, shard.path)
-    entry = _WORKER_SEGMENTS.get(key)
-    if entry is None or entry[0] != shard.generation:
-        entry = (shard.generation, Segment(shard.path))
-        _WORKER_SEGMENTS.put(key, entry)
-    return entry[1].trees(shard.lo, shard.hi)
-
-
 def _shard_lanes(shard: Shard) -> Optional[Tuple[PackedIndex, ...]]:
-    """The shard's :class:`PackedIndex` lanes, parsed straight from its
-    sidecar's bytes — or ``None`` when the sidecar is missing, stale or
-    corrupt, in which case the caller loads trees instead."""
-    path, tag = shard.sidecar
-    key = (shard.store, path)
-    entry = _WORKER_SIDECARS.get(key)
-    if entry is None or entry[0] != tag:
-        try:
-            sidecar = Sidecar(path)
-        except (OSError, StoreError):
-            sidecar = None
-        if sidecar is not None and (
-            sidecar.generation != tag or sidecar.count < shard.hi
-        ):
-            sidecar = None
-        entry = (tag, sidecar, {})
-        _WORKER_SIDECARS.put(key, entry)
-    _, sidecar, records = entry
-    if sidecar is None:
+    """The shard's :class:`PackedIndex` lanes, parsed once per record
+    straight from its open sidecar's bytes — or ``None`` when the
+    sidecar is missing, stale or corrupt, and trees must load."""
+    opened = open_sidecar(shard.store, shard.sidecar)
+    if opened.sidecar is None:
         return None
     lanes = []
     for i in range(shard.lo, shard.hi):
-        lane = records.get(i)
+        lane = opened.lanes.get(i)
         if lane is None:
             try:
-                lane = PackedIndex(sidecar.blob(i))
+                lane = PackedIndex(opened.sidecar.blob(i))
             except (StoreError, IndexFormatError, ValueError, IndexError):
                 return None  # corrupt blob: fall back to rebuilding from records
-            records[i] = lane
+            opened.lanes[i] = lane
         lanes.append(lane)
     return tuple(lanes)
 
 
-def _lane_shard(shard: Shard) -> Optional[StackedShard]:
-    """The chunk's sidecar lanes stacked into one shard — kept from an
-    earlier request, or stacked here from :func:`_shard_lanes` and kept
-    if the window was asked for before — or ``None`` when the sidecar
-    is missing, stale or corrupt.
+def _lane_window(task: ChunkTask) -> Optional[Window]:
+    """The chunk's window stacked from its sidecar's lanes, or ``None``
+    when the sidecar is missing, stale or corrupt.
 
     Threads racing on a window not yet kept may each stack it; each
     answers from its own shard of the same bytes, so a race costs a
     stacking, never an answer."""
-    key = (shard.store, *shard.sidecar, shard.lo, shard.hi)
-    stacked = _WORKER_SHARDS.get(key)
-    if stacked is not None:
-        return stacked
-    lanes = _shard_lanes(shard)
+    key = (task.token, task.start, task.stop, task.shard.sidecar.tag)
+    window = _WINDOWS.get(key)
+    if window is not None:
+        return window
+    lanes = _shard_lanes(task.shard)
     if lanes is None:
         return None
-    stacked = StackedShard(lanes)
+    window = Window(None, StackedShard(lanes))
     if key in _ASKED_ONCE:
-        _WORKER_SHARDS.put(key, stacked)
+        _WINDOWS.put(key, window)
     else:
         _ASKED_ONCE.put(key, True)
-    return stacked
+    return window
 
 
 def _reads_indexes(
@@ -408,59 +359,38 @@ def _reads_indexes(
     )
 
 
-def _warm_chunk(
-    token: Optional[str],
-    start: int,
-    stop: int,
-    trees: Tuple[Tree, ...],
-    indexed: bool = True,
-) -> Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]:
-    """Keep freshly loaded chunk trees warm under ``token``, with their
-    indexes built here when ``indexed`` (the chunk's engine reads them).
-    Without a token, no caching."""
-    if token is None:
-        return trees, None
-    chunks = _WORKER_CHUNKS.get(token)
-    if chunks is None:
-        # A new corpus: retire the old one's chunks.  ``setdefault``
-        # hands every thread racing here the same map, and ``list``
-        # copies the keys in one step.
-        chunks = _WORKER_CHUNKS.setdefault(
-            token, KeyedLRU(_WARM_CHUNKS, name="worker chunks")
-        )
-        for stale in [key for key in list(_WORKER_CHUNKS) if key != token]:
-            _WORKER_CHUNKS.pop(stale, None)
-    indexes = tuple(index_for(tree) for tree in trees) if indexed else None
-    chunks.put((start, stop), (trees, indexes))
-    return trees, indexes
-
-
-def _chunk_trees(
-    task: ChunkTask, indexed: bool
-) -> Optional[Tuple[Tuple[Tree, ...], Optional[Tuple[TreeIndex, ...]]]]:
-    """The one way a chunk gets its trees and indexes: the pinned ones
-    it carries, else this worker's warm copies, else the trees it
-    ships or its shard's records, warmed under its token.  Indexes are
-    built only when ``indexed`` — a warm chunk that has none gets them
-    from the first engine that reads them.  ``None`` when the chunk
-    carries neither (a routed worker that lost its warm state)."""
-    if task.indexes is not None:
-        return task.trees, task.indexes
-    chunks = _WORKER_CHUNKS.get(task.token)
-    cached = (
-        chunks.get((task.start, task.stop)) if chunks is not None else None
-    )
-    if cached is not None and (cached[1] is not None or not indexed):
-        return cached
-    if cached is not None:
-        trees = cached[0]
+def _tree_window(task: ChunkTask, indexed: bool) -> Optional[Window]:
+    """The one way a chunk gets its trees: its warm window, else the
+    trees it ships or its shard's records, kept under its token.  When
+    ``indexed`` (the reference evaluators read no index) and the window
+    has no shard yet, its indexes — pinned, or built here — are stacked
+    into one.  ``None`` when the chunk has no trees to load (a routed
+    worker that lost its warm state)."""
+    key = (task.token, task.start, task.stop, None)
+    window = _WINDOWS.get(key)
+    if window is not None and (window.shard is not None or not indexed):
+        return window
+    if window is not None:
+        trees = window.trees
     elif task.trees is not None:
         trees = task.trees
-    elif task.shard is not None:
-        trees = _shard_trees(task.shard)
+    elif task.shard is not None:  # unpickle only the shard's records
+        at = task.shard
+        trees = open_segment(at.store, at.path, at.generation).trees(
+            at.lo, at.hi
+        )
     else:
         return None
-    return _warm_chunk(task.token, task.start, task.stop, trees, indexed)
+    shard = None
+    if indexed:
+        indexes = task.indexes
+        if indexes is None:
+            indexes = tuple(index_for(tree) for tree in trees)
+        shard = StackedShard(indexes)
+    window = Window(trees, shard)
+    if task.token is not None:
+        _WINDOWS.put(key, window)
+    return window
 
 
 def _ir_batch_plan(query: CorpusQuery):
@@ -489,32 +419,27 @@ def _stacked_plans(
 
 
 def _evaluate_rows(
-    trees: Optional[Sequence[Tree]],
+    window: Window,
     queries: Sequence[CorpusQuery],
     engine: Union[str, Tuple[str, ...]],
-    indexes: Optional[Sequence[TreeIndex]],
-    shard: Optional[StackedShard] = None,
 ) -> Tuple[Tuple[object, ...], ...]:
-    """One chunk's cells: one stacked shard pass for every query with an
-    IR plan (none in a ``reference`` batch), then the tree-outer,
-    query-inner sweep for the rest, each on its engine.
+    """One chunk's cells: one stacked shard pass over the window's shard
+    for every query with an IR plan (none in a ``reference`` batch),
+    then the tree-outer, query-inner sweep for the rest, each on its
+    engine.
 
-    With ``trees``, ``indexes`` holds the chunk's pinned
-    :class:`TreeIndex` objects, adopted tree by tree (``None``: built
-    here when the stacked pass needs them), and the shard is stacked
-    from them, each tree in its own bit lane.  Without trees, ``shard``
-    is a lane-served chunk's shard, stacked from :class:`PackedIndex`
-    lanes straight from a sidecar, and every query must ride it."""
+    A tree window's shard stacks its trees' :class:`TreeIndex` objects,
+    each tree in its own bit lane, and the sweep adopts them tree by
+    tree.  A lane window has no trees: its shard is stacked from
+    :class:`PackedIndex` lanes straight from a sidecar, and every query
+    must ride it."""
     plans = _stacked_plans(queries, engine)
+    trees, shard = window
     if trees is not None:
         for query in queries:
             compile_query(query)
-        if plans and trees:
-            if indexes is None:
-                indexes = tuple(index_for(tree) for tree in trees)
-            shard = StackedShard(indexes)
     columns: Dict[int, List[object]] = {}
-    if plans and shard is not None:
+    if plans:
         for position, plan in plans.items():
             lanes = shard.split(evaluate_shard(plan, shard))
             if plan.mode == "boolean":
@@ -531,6 +456,7 @@ def _evaluate_rows(
     engines = (
         engine if isinstance(engine, tuple) else (engine,) * len(queries)
     )
+    indexes = shard.indexes if shard is not None else None
     rows = []
     for position in range(len(trees) if trees is not None else shard.lanes):
         tree = None
@@ -551,8 +477,7 @@ def _evaluate_rows(
 
 def _degrade(
     task: ChunkTask,
-    trees: Optional[Tuple[Tree, ...]],
-    indexes: Optional[Tuple[TreeIndex, ...]],
+    window: Optional[Window],
     started: float,
     error: str,
     steps: int = 0,
@@ -562,9 +487,9 @@ def _degrade(
     unbudgeted, since it is the recovery and must be allowed to finish —
     and report why.  A lane-served attempt, or a worker that died,
     left no trees, so they load here."""
-    if trees is None:
-        trees, indexes = _chunk_trees(task, indexed=False)
-    rows = _evaluate_rows(trees, task.queries, "reference", indexes)
+    if window is None or window.trees is None:
+        window = _tree_window(task, indexed=False)
+    rows = _evaluate_rows(window, task.queries, "reference")
     return rows, ChunkReport(
         task.index, task.start, task.stop, "reference", True, error,
         time.perf_counter() - started, steps=steps, retries=retries,
@@ -579,7 +504,7 @@ def _run_chunk(task: ChunkTask):
     touches (plan cache, index cache) is that worker's own warm state.
     """
     started = time.perf_counter()
-    trees = indexes = shard = None
+    window = None
     # A store chunk with a valid sidecar whose queries all have IR
     # plans takes its lanes straight from the sidecar bytes — no
     # unpickling, no index builds.
@@ -590,12 +515,11 @@ def _run_chunk(task: ChunkTask):
         and engine != "reference"
         and len(_stacked_plans(queries, engine)) == len(queries)
     ):
-        shard = _lane_shard(task.shard)
-    if shard is None:
-        loaded = _chunk_trees(task, _reads_indexes(queries, engine))
-        if loaded is None:  # e.g. a fresh worker after a pool restart
+        window = _lane_window(task)
+    if window is None:
+        window = _tree_window(task, _reads_indexes(queries, engine))
+        if window is None:  # e.g. a fresh worker after a pool restart
             return _CACHE_MISS, None
-        trees, indexes = loaded
     # A reference chunk has no engine to degrade to, so its budget
     # applies only when exhaustion is the caller's verdict
     # (``on_exhausted="raise"`` — the query service's deadline path)
@@ -618,9 +542,7 @@ def _run_chunk(task: ChunkTask):
     )
     try:
         with context:
-            rows = _evaluate_rows(
-                trees, queries, engine, indexes, shard
-            )
+            rows = _evaluate_rows(window, queries, engine)
     except (ResourceExhausted, EngineError) as exc:
         if reference or (
             isinstance(exc, ResourceExhausted) and task.on_exhausted == "raise"
@@ -633,7 +555,7 @@ def _run_chunk(task: ChunkTask):
         # exhausted budget costs this chunk its fast path, never the
         # batch its answers or their order.
         return _degrade(
-            task, trees, indexes, started, f"{type(exc).__name__}: {exc}",
+            task, window, started, f"{type(exc).__name__}: {exc}",
             steps=budget.steps if budget is not None else 0,
         )
     return rows, ChunkReport(
@@ -641,7 +563,7 @@ def _run_chunk(task: ChunkTask):
         "auto" if isinstance(engine, tuple) else engine,
         False, None, time.perf_counter() - started,
         steps=budget.steps if budget is not None else 0,
-        source="lanes" if shard is not None else "trees",
+        source="lanes" if window.trees is None else "trees",
     )
 
 
@@ -848,7 +770,7 @@ def run_batch(
                     # Last-resort degradation: answer the chunk here,
                     # on the engine no fault has ever indicted.
                     answer = _degrade(
-                        task, None, None, time.perf_counter(),
+                        task, None, time.perf_counter(),
                         f"worker failed: {type(exc).__name__}: {exc}",
                         retries=worker_retries,
                     )

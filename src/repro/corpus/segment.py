@@ -16,6 +16,14 @@ alone, and unpickles individual trees lazily — a
 :func:`~repro.corpus.executor.run_batch` worker routed shard ``[lo,
 hi)`` touches only those records' byte ranges.
 
+Every reader in a process — a store's point reads, scans, rewrites
+and sidecar checks, and the executor's chunk loads — opens segments
+and sidecars through one pair of bounded maps (:func:`open_segment`,
+:func:`open_sidecar`), keyed by store id and path and tagged with the
+generation a segment was opened under or the tag a sidecar carries.
+An entry evicted, or dropped by :func:`forget`, is never closed: a
+reader still holding the file keeps its mapping valid.
+
 Records are written straight through (no buffering of the whole
 segment), so ingest memory stays bounded by one tree plus the pending
 footer rows.  A crash before :meth:`SegmentWriter.seal` leaves a
@@ -37,6 +45,7 @@ from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from ..caching import KeyedLRU
 from ..engine.stats import TreeStatistics
 from ..resilience.errors import ReproError
 from ..trees.tree import Tree
@@ -697,3 +706,81 @@ class Sidecar:
             f"Sidecar({os.path.basename(self.path)}, "
             f"id={self.segment_id}, g{self.generation}, {self.count} blobs)"
         )
+
+
+# ---------------------------------------------------------------------------
+# open store files
+# ---------------------------------------------------------------------------
+
+#: How many segments, and how many sidecars, one process keeps open.
+OPEN_FILES = 64
+
+
+class OpenSegment(NamedTuple):
+    """A kept segment and the store generation it was opened under."""
+
+    generation: int
+    segment: Segment
+
+
+class SidecarSpec(NamedTuple):
+    """A segment's sidecar and what it must say of itself: the tag the
+    store manifest records, the segment id and the record count."""
+
+    path: str
+    tag: int
+    segment_id: int
+    count: int
+
+
+class OpenSidecar(NamedTuple):
+    """The tag a kept sidecar was checked against, the sidecar — ``None``
+    when the file is missing, corrupt or not what its spec says — and
+    the record → lane map its readers fill."""
+
+    tag: int
+    sidecar: Optional[Sidecar]
+    lanes: Dict[int, object]
+
+
+_SEGMENTS = KeyedLRU(OPEN_FILES, name="open segments")
+_SIDECARS = KeyedLRU(OPEN_FILES, name="open sidecars")
+
+
+def open_segment(store: str, path: str, generation: int) -> Segment:
+    """Store ``store``'s segment at ``path``, opened once per
+    generation.  A segment that does not open raises and is not kept."""
+    key = (store, path)
+    entry = _SEGMENTS.get(key)
+    if entry is None or entry.generation != generation:
+        entry = OpenSegment(generation, Segment(path))
+        _SEGMENTS.put(key, entry)
+    return entry.segment
+
+
+def open_sidecar(store: str, spec: SidecarSpec) -> OpenSidecar:
+    """Store ``store``'s sidecar that ``spec`` names, opened and checked
+    once per tag — the one sidecar validator."""
+    key = (store, spec.path)
+    entry = _SIDECARS.get(key)
+    if entry is None or entry.tag != spec.tag:
+        try:
+            sidecar: Optional[Sidecar] = Sidecar(spec.path)
+        except (OSError, StoreError):
+            sidecar = None
+        if sidecar is not None and (
+            sidecar.segment_id, sidecar.generation, sidecar.count
+        ) != (spec.segment_id, spec.tag, spec.count):
+            sidecar = None
+        entry = OpenSidecar(spec.tag, sidecar, {})
+        _SIDECARS.put(key, entry)
+    return entry
+
+
+def forget(store: str, *paths: str) -> None:
+    """Drop ``store``'s open files at ``paths`` (all of them when none
+    is given): before bytes change in place, or once swapped out."""
+    for cache in (_SEGMENTS, _SIDECARS):
+        for key in cache:
+            if key[0] == store and (not paths or key[1] in paths):
+                cache.pop(key)

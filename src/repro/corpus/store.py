@@ -13,8 +13,12 @@ properties:
 * **mmap-lazy shards** — queries route contiguous shards of a segment
   to workers that open the segment memory-mapped and unpickle only
   their shard's byte range; the parent ships byte coordinates, not
-  pickles, and warm workers keyed by ``(token, shard)`` skip even
-  that;
+  pickles, and a worker's warm window of ``(token, shard)`` skips even
+  that.  The store's own reads and rewrites open segments and
+  sidecars through the same bounded maps of open store files as the
+  chunk loads (:func:`~repro.corpus.segment.open_segment`,
+  :func:`~repro.corpus.segment.open_sidecar`), so a handle keeps
+  nothing open of its own, and a sidecar is checked once per tag;
 * **incremental repair** — :meth:`replace` copies every untouched
   record of the edited segment byte-for-byte, decodes at most the
   edited one, and with an edit site patches the damaged tree's cached
@@ -60,12 +64,15 @@ from .segment import (
     BlobTable,
     Segment,
     SegmentWriter,
-    Sidecar,
+    SidecarSpec,
     StoreCorruptError,
     StoreError,
     StoreLockedError,
     StoreMissingError,
     StoreVersionError,
+    forget,
+    open_segment,
+    open_sidecar,
     recover_segment,
     sidecar_path,
     write_sidecar,
@@ -210,12 +217,9 @@ class CorpusStore:
     def __init__(self, path: str, manifest: Dict[str, object]):
         self.path = path
         self._manifest = manifest
-        self._segments: Dict[int, Segment] = {}       # seg index -> reader
         self._stats: Optional[CorpusStatistics] = None
         self._stats_generation = -1
         self._use_sidecars = True
-        # segment index -> (generation checked, (sidecar path, tag) | None)
-        self._sidecar_ok: Dict[int, Tuple[int, Optional[Tuple[str, int]]]] = {}
         self.pools = WorkerPools()
         self._lock_path: Optional[str] = None  # held writer lock, if any
         # The random id ``create`` wrote; a manifest from before store
@@ -317,10 +321,9 @@ class CorpusStore:
             )
 
     def close(self) -> None:
-        """Release mmaps, worker pools and the writer lock."""
-        for segment in self._segments.values():
-            segment.close()
-        self._segments.clear()
+        """Drop this store's open files, shut its worker pools down and
+        release the writer lock."""
+        forget(self._identity)
         self.pools.close()
         _release_writer_lock(self._lock_path)
         self._lock_path = None
@@ -465,10 +468,11 @@ class CorpusStore:
                         entry = segments[tail]
                         if tag is not None:
                             blobs.copy(self._segment_blobs(tail))
-                        self._evict_segment(tail)
+                        # Resuming cuts the file in place: no open
+                        # mapping may read past its new end.
+                        forget(self._identity, self._segment_path(tail))
                         writer = SegmentWriter.resume(
-                            os.path.join(self.path, entry["name"]),
-                            entry["id"],
+                            self._segment_path(tail), entry["id"]
                         )
                     else:
                         writer = SegmentWriter(
@@ -498,7 +502,7 @@ class CorpusStore:
                 if position > 0 or tail is None:
                     _unlink(sidecar_path(aborted.path))
             if tail is not None and opened:
-                self._sidecar_ok.pop(tail, None)
+                forget(self._identity, self._sidecar_file(tail))
             raise
         for position, (done, entry) in enumerate(zip(sealed, entries)):
             self._record_seal(
@@ -546,7 +550,7 @@ class CorpusStore:
             old_tree = segment.tree(local)
             repaired = repair_index(index_for(old_tree), tree, site)
             adopt_index(tree, repaired)
-        segment_path = os.path.join(self.path, entry["name"])
+        segment_path = self._segment_path(segment_index)
         # Splice the sidecar, not just the segment: unchanged records
         # keep their blobs byte-for-byte (rebuilt from the records when
         # no valid sidecar exists), the edited record gets the repaired
@@ -563,7 +567,11 @@ class CorpusStore:
             writer.append(tree)
             writer.copy_records(segment, local + 1, segment.tree_count)
             footer = writer.seal()
-            self._evict_segment(segment_index)
+            # The old sidecar's entry goes too, not just left to its
+            # tag: if the manifest commit below fails, the manifest on
+            # disk still names the old tag, and a kept entry would
+            # vouch for bytes that are gone.
+            forget(self._identity, segment_path, side_path)
             # Retire the old sidecar *before* the segment bytes move: no
             # crash window leaves a valid-looking sidecar describing
             # bytes that are no longer there.
@@ -603,46 +611,30 @@ class CorpusStore:
             offset += entry["trees"]
         raise IndexError(position)  # pragma: no cover - manifest counts
 
-    def _segment(self, segment_index: int) -> Segment:
-        segment = self._segments.get(segment_index)
-        if segment is None:
-            entry = self._manifest["segments"][segment_index]
-            segment = Segment(os.path.join(self.path, entry["name"]))
-            self._segments[segment_index] = segment
-        return segment
+    def _segment_path(self, segment_index: int) -> str:
+        entry = self._manifest["segments"][segment_index]
+        return os.path.join(self.path, entry["name"])
 
-    def _evict_segment(self, segment_index: int) -> None:
-        segment = self._segments.pop(segment_index, None)
-        if segment is not None:
-            segment.close()
+    def _segment(self, segment_index: int) -> Segment:
+        return open_segment(
+            self._identity, self._segment_path(segment_index), self.generation
+        )
 
     # -- index sidecars -----------------------------------------------
 
     def _sidecar_file(self, segment_index: int) -> str:
-        entry = self._manifest["segments"][segment_index]
-        return sidecar_path(os.path.join(self.path, entry["name"]))
+        return sidecar_path(self._segment_path(segment_index))
 
-    def _read_valid_sidecar(self, segment_index: int, read):
-        """``read(sidecar)`` on a segment's open sidecar, or ``None``
-        when the sidecar is missing, corrupt, or tagged for a different
-        version of the segment's bytes.  The sidecar is dropped, never
-        closed: ``read`` may return views of its mapping, which stays
-        valid for as long as they live."""
+    def _spec(self, segment_index: int) -> Optional[SidecarSpec]:
+        """What the segment's sidecar must say of itself, per the
+        manifest — ``None`` when the manifest records no sidecar."""
         entry = self._manifest["segments"][segment_index]
         tag = entry.get("sidecar_gen")
         if tag is None:
             return None
-        try:
-            sidecar = Sidecar(self._sidecar_file(segment_index))
-            if (
-                sidecar.segment_id == entry["id"]
-                and sidecar.generation == tag
-                and sidecar.count == entry["trees"]
-            ):
-                return read(sidecar)
-        except (OSError, StoreError):
-            pass
-        return None
+        return SidecarSpec(
+            self._sidecar_file(segment_index), tag, entry["id"], entry["trees"]
+        )
 
     def _record_blobs(self, segment_index: int) -> List[bytes]:
         """Every index blob of a segment, rebuilt from its records."""
@@ -653,16 +645,19 @@ class CorpusStore:
         ]
 
     def _segment_blobs(self, segment_index: int) -> BlobTable:
-        """Every index blob of a segment — a view of its sidecar when
-        the generation tag matches, else rebuilt from the records."""
-        existing = self._read_valid_sidecar(segment_index, Sidecar.blob_table)
-        if existing is not None:
-            return existing
+        """Every index blob of a segment — a view of its sidecar when that
+        is valid (the view keeps the mapping alive), else rebuilt from
+        the records."""
+        spec = self._spec(segment_index)
+        sidecar = spec and open_sidecar(self._identity, spec).sidecar
+        try:
+            if sidecar is not None:
+                return sidecar.blob_table()
+        except StoreError:
+            pass
         return BlobTable.of(self._record_blobs(segment_index))
 
-    def _rebuild_sidecar(
-        self, segment_index: int
-    ) -> Optional[Tuple[str, int]]:
+    def _rebuild_sidecar(self, segment_index: int) -> SidecarSpec:
         """Rebuild a missing/corrupt sidecar from the segment's records
         and retag the manifest entry — no generation bump, the corpus
         bytes did not change."""
@@ -673,29 +668,25 @@ class CorpusStore:
         write_sidecar(path, entry["id"], tag, blobs)
         entry["sidecar_gen"] = tag
         self._save_manifest()
-        return (path, tag)
+        # The map may hold this very tag as invalid: the old file's.
+        forget(self._identity, path)
+        return self._spec(segment_index)
 
-    def _sidecar_spec(
-        self, segment_index: int
-    ) -> Optional[Tuple[str, int]]:
-        """The ``(sidecar path, generation tag)`` workers should mmap
-        for this segment, or ``None`` to rebuild indexes from records.
-
-        Validated once per (segment, generation); a writable store
-        lazily rebuilds an invalid sidecar here, a readonly one falls
-        back per chunk."""
+    def _sidecar_spec(self, segment_index: int) -> Optional[SidecarSpec]:
+        """The sidecar this segment's chunks read lanes from, or ``None``
+        to load trees; a writable store lazily rebuilds an invalid
+        sidecar here, a readonly one falls back per chunk."""
         if not self._use_sidecars:
             return None
-        cached = self._sidecar_ok.get(segment_index)
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        spec = self._read_valid_sidecar(
-            segment_index, lambda sidecar: (sidecar.path, sidecar.generation)
-        )
-        if spec is None and not self.readonly:
-            spec = self._rebuild_sidecar(segment_index)
-        self._sidecar_ok[segment_index] = (self.generation, spec)
-        return spec
+        spec = self._spec(segment_index)
+        if (
+            spec is not None
+            and open_sidecar(self._identity, spec).sidecar is not None
+        ):
+            return spec
+        if self.readonly:
+            return None
+        return self._rebuild_sidecar(segment_index)
 
     def tree(self, position: int) -> Tree:
         """The tree at ``position``: unpickles its one record."""
@@ -703,8 +694,9 @@ class CorpusStore:
         return self._segment(segment_index).tree(local)
 
     def trees(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Tree]:
-        """Iterate trees ``[start, stop)`` without holding extra
-        segments — a full scan touches each segment once."""
+        """Iterate trees ``[start, stop)``, a segment at a time, through
+        the bounded map of open segments — a full scan opens each
+        segment once."""
         stop = self.tree_count if stop is None else min(stop, self.tree_count)
         position = start
         while position < stop:
@@ -765,11 +757,11 @@ class CorpusStore:
                 _unlink(os.path.join(self.path, name))
         repaired = 0
         for segment_index, entry in enumerate(self._manifest["segments"]):
-            segment_path = os.path.join(self.path, entry["name"])
+            segment_path = self._segment_path(segment_index)
             try:
                 self._segment(segment_index)
             except StoreCorruptError:
-                self._evict_segment(segment_index)
+                forget(self._identity, segment_path)
                 # The sidecar goes first: once the segment is resealed
                 # with records dropped, a surviving sidecar would look
                 # valid while describing the pre-crash bytes.  Dropping
@@ -860,9 +852,7 @@ class CorpusStore:
                 _unlink(fresh)
                 _unlink(sidecar_path(fresh))
             raise
-        for segment_index in range(len(segments)):
-            self._evict_segment(segment_index)
-        self._sidecar_ok.clear()
+        forget(self._identity)
         self._manifest["segments"] = new_entries
         self._bump()  # the commit point: one atomic manifest replace
         for old in old_files:
@@ -880,9 +870,8 @@ class CorpusStore:
 
     def _shard_for(self, start: int, stop: int) -> Shard:
         segment_index, local = self._locate(start)
-        entry = self._manifest["segments"][segment_index]
         return Shard(
-            os.path.join(self.path, entry["name"]),
+            self._segment_path(segment_index),
             self.generation,
             local,
             local + (stop - start),

@@ -43,7 +43,7 @@ from ..caching import KeyedLRU
 from ..trees.node import NodeId
 from ..trees.tree import Tree
 from ..trees.values import MaybeValue
-from .nodeset import apply_shift_groups, bit_count, iter_bits, pick_bits
+from .nodeset import bit_count, iter_bits, pick_bits
 from .nodeset import shift_groups as _shift_groups
 
 __all__ = [
@@ -90,7 +90,6 @@ class TreeIndex:
         "label_mask",
         "value_mask",
         "move_groups",
-        "moves",
     )
 
     def __init__(self, tree: Tree) -> None:
@@ -170,7 +169,8 @@ class TreeIndex:
         #: where ``mask`` collects the sources whose target lies exactly
         #: ``shift`` ids away (negative = towards smaller ids).  A move
         #: applied to a node set is then one ``(bits & mask) << shift``
-        #: per distinct shift — no per-node work at all.
+        #: per distinct shift — no per-node work at all
+        #: (:func:`~repro.engine.nodeset.apply_shift_groups`).
         self.move_groups = {
             "down": ((1, self.all_mask & ~leaf_mask),),
             "up": _shift_groups(
@@ -182,14 +182,6 @@ class TreeIndex:
             "left": _shift_groups(
                 (i, prev_sibling[i]) for i in range(n) if prev_sibling[i] >= 0
             ),
-        }
-
-        #: Move-graph dispatch: atom direction → set-at-a-time image.
-        self.moves = {
-            "up": self.up_mask,
-            "down": self.down_mask,
-            "left": self.left_mask,
-            "right": self.right_mask,
         }
 
     # -- O(1) structure tests --------------------------------------------------
@@ -239,29 +231,6 @@ class TreeIndex:
         for u in iter_bits(sources):
             out |= children_mask[u]
         return out
-
-    # -- move graphs (set-at-a-time walking atoms) -----------------------------
-
-    def _move(self, direction: str, sources: int) -> int:
-        return apply_shift_groups(self.move_groups[direction], sources)
-
-    def down_mask(self, sources: int) -> int:
-        """Image of ``sources`` under the *first-child* move — one
-        shift, since preorder puts the first child of ``u`` at
-        ``u + 1``."""
-        return (sources & ~self.leaf_mask) << 1
-
-    def up_mask(self, sources: int) -> int:
-        """Image of ``sources`` under the *parent* move."""
-        return self._move("up", sources)
-
-    def right_mask(self, sources: int) -> int:
-        """Image of ``sources`` under the *right-sibling* move."""
-        return self._move("right", sources)
-
-    def left_mask(self, sources: int) -> int:
-        """Image of ``sources`` under the *left-sibling* move."""
-        return self._move("left", sources)
 
     def labelled(self, label: str) -> int:
         """Bitset of σ-labelled nodes (0 if σ never occurs)."""
@@ -582,10 +551,9 @@ def index_cache_clear() -> None:
 # ---------------------------------------------------------------------------
 
 #: Every structure :func:`repair_index` must reproduce byte-identically
-#: (``moves`` holds bound methods and is derived from ``move_groups``;
-#: ``tree`` is the input, not a derived structure).
+#: (``tree`` is the input, not a derived structure).
 _DERIVED_SLOTS = tuple(
-    name for name in TreeIndex.__slots__ if name not in ("tree", "moves")
+    name for name in TreeIndex.__slots__ if name != "tree"
 )
 
 #: Past this fraction of changed nodes a splice repair stops paying:
@@ -934,11 +902,5 @@ def repair_index(
         "up": tuple(sorted(up_groups.items())),
         "right": tuple(sorted(right_groups.items())),
         "left": tuple(sorted(left_groups.items())),
-    }
-    repaired.moves = {
-        "up": repaired.up_mask,
-        "down": repaired.down_mask,
-        "left": repaired.left_mask,
-        "right": repaired.right_mask,
     }
     return repaired

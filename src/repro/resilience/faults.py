@@ -223,16 +223,21 @@ def _generate(operation: str, rng: random.Random, max_size: int):
     return tree, specimen
 
 
+#: The query kind (a row of :data:`repro.engine.plans.DIALECTS`) each
+#: text operation runs as, through :meth:`TreeDatabase.query`.
+_KINDS = {
+    "xpath": "xpath",
+    "holds": "ask",
+    "caterpillar": "caterpillar",
+    "caterpillar_relation": "caterpillar-relation",
+}
+
+
 def _run(db, operation: str, query, engine: str):
     """Dispatch one facade call; returns a canonically comparable value."""
-    if operation == "xpath":
-        return db.xpath(query, engine=engine)
-    if operation == "holds":
-        return db.ask(query, engine=engine)
-    if operation == "caterpillar":
-        return db.caterpillar(query, engine=engine)
-    if operation == "caterpillar_relation":
-        return db.caterpillar_relation(query, engine=engine)
+    kind = _KINDS.get(operation)
+    if kind is not None:
+        return db.query(kind, query, engine=engine)
     # run_automaton: the specimen knows whether it needs delim(t)
     automaton, delimited = query.build()
     return db.run_automaton(automaton, delimited=delimited, engine=engine)

@@ -91,7 +91,10 @@ def test_check_flags_regressed_and_malformed_reports(tmp_path):
     regressed = tmp_path / "BENCH_slow.json"
     regressed.write_text(json.dumps({
         "schema": "repro-bench-walk/1",
-        "summary": {"caterpillar_median_speedup_at_max_size": 0.5},
+        "summary": {
+            "caterpillar_median_speedup_at_max_size": 0.5,
+            "twa_median_speedup_at_max_size": 40.0,
+        },
     }))
     alien = tmp_path / "BENCH_alien.json"
     alien.write_text(json.dumps({"schema": "something-else"}))
@@ -101,8 +104,9 @@ def test_check_flags_regressed_and_malformed_reports(tmp_path):
     broken = tmp_path / "BENCH_broken.json"
     broken.write_text("{not json")
     failures = bench.check_reports([regressed, alien, empty, broken])
-    assert len(failures) == 4
+    assert len(failures) == 5
     assert any("below the 1.0x floor" in f for f in failures)
+    assert any("below the 10.0x floor" in f for f in failures)
     assert any("unrecognised schema" in f for f in failures)
     assert any("no median speedups" in f for f in failures)
     assert any("unreadable" in f for f in failures)
@@ -156,6 +160,35 @@ def test_check_cli_returns_failure_on_regression(tmp_path, capsys):
     good = tmp_path / "BENCH_good.json"
     good.write_text(json.dumps({
         "schema": "repro-bench-engine/1",
-        "summary": {"fo_median_speedup_at_max_size": 12.0},
+        "summary": {
+            "fo_median_speedup_at_max_size": 12.0,
+            "xpath_median_speedup_at_max_size": 6.0,
+        },
     }))
     assert bench.main(["--check", str(good)]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("BENCH_engine.json", "fo_median_speedup_at_max_size", 3.0),
+        ("BENCH_engine.json", "xpath_median_speedup_at_max_size", 2.0),
+        ("BENCH_walk.json", "caterpillar_median_speedup_at_max_size", 5.0),
+        ("BENCH_walk.json", "twa_median_speedup_at_max_size", 2.0),
+        ("BENCH_corpus.json", "corpus_median_speedup_at_max_size", 2.0),
+        ("BENCH_serve.json", "serve_fault_degraded_chunks", 0),
+    ],
+)
+def test_check_applies_each_suites_own_gates(tmp_path, name, key, value):
+    """A committed report with one figure below its own suite's gate —
+    one the 1.0x median floor alone lets through — fails ``--check`` as
+    a fresh run of that suite would."""
+    root = Path(__file__).resolve().parents[1]
+    report = json.loads((root / name).read_text())
+    assert not report["quick"]
+    report["summary"][key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(report))
+    failures = bench.check_reports([path])
+    assert len(failures) == 1
+    assert f"{key} = {value!r} is below the" in failures[0]

@@ -15,6 +15,7 @@ from repro.corpus import (
     select_query,
     xpath_query,
 )
+from repro.corpus import executor
 from repro.engine import ir as ir_module
 from repro.engine.index import TreeIndex, index_for
 from repro.engine.plans import (
@@ -262,6 +263,27 @@ def test_corpus_random_is_deterministic():
         TreeCorpus.random(-1)
     with pytest.raises(ValueError):
         TreeCorpus.random(1, max_size=0)
+
+
+def test_warm_reruns_of_a_serial_corpus_stack_no_shard(monkeypatch):
+    """A serial corpus keeps each chunk's stacked shard with its warm
+    window, so reruns of the same windows stack nothing: 8 trees in
+    2-tree chunks stack 4 shards on the first run, none on 5 reruns."""
+    stacked = []
+    real = executor.StackedShard
+
+    def counting(indexes):
+        stacked.append(len(indexes))
+        return real(indexes)
+
+    monkeypatch.setattr(executor, "StackedShard", counting)
+    corpus = TreeCorpus.random(8, max_size=12, seed=3)
+    expected = sequential_rows(corpus.trees, QUERIES)
+    assert corpus.run(QUERIES, chunk_size=2).rows == expected
+    assert stacked == [2, 2, 2, 2]
+    for _ in range(5):
+        assert corpus.run(QUERIES, chunk_size=2).rows == expected
+    assert stacked == [2, 2, 2, 2]
 
 
 def test_corpus_reuses_pool_across_runs(trees):

@@ -38,6 +38,7 @@ from repro.corpus import (
     sidecar_path,
 )
 from repro.corpus import executor
+from repro.corpus import segment as segment_module
 from repro.corpus import store as store_module
 from repro.corpus.query import (
     ask_query,
@@ -57,6 +58,7 @@ from repro.corpus.segment import (
 )
 from repro.engine.index import TreeIndex, index_cache_clear, serialize_index
 from repro.engine.stats import TreeStatistics
+from repro.trees import parse_term
 from repro.trees.generators import random_tree
 
 pytestmark = pytest.mark.store
@@ -605,7 +607,9 @@ def test_replace_rejects_non_tree_input_before_touching_the_store(
         before, generation = files(), store.generation
         with pytest.raises(TypeError, match="replace expects Tree instances"):
             store.replace(2, value)
-        assert store._segments == {}
+        assert not any(
+            key[0] == store._identity for key in segment_module._SEGMENTS
+        )
         assert files() == before
         assert store.generation == generation
 
@@ -659,6 +663,25 @@ def test_point_reads_after_replace_see_the_new_tree(
         assert len(repaired) == 1  # the old record decoded and repaired
         trees[8] = edited
         assert all(_same_tree(store.tree(i), t) for i, t in enumerate(trees))
+
+
+def test_point_reads_keep_a_bounded_number_of_segments_mapped(tmp_path):
+    """Point reads open segments through the process's bounded map of
+    open store files, which chunk loads share: reading one tree of each
+    of 100 segments leaves at most the map's bound of them mapped, not
+    one per segment read."""
+    tree = parse_term("σ(δ, σ(δ))")
+    with CorpusStore.create(
+        str(tmp_path / "s"), segment_size=1, sidecars=False
+    ) as store:
+        store.ingest(tree for _ in range(100))
+        assert all(_same_tree(store.tree(i), tree) for i in range(100))
+        gc.collect()
+        mapped = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Segment) and obj.path.startswith(store.path)
+        ]
+        assert 0 < len(mapped) <= segment_module.OPEN_FILES
 
 
 class _Crash(Exception):
@@ -737,7 +760,7 @@ def test_replace_crash_at_any_step_reopens_to_old_or_new(
         assert all(
             _same_tree(reopened.tree(i), t) for i, t in enumerate(trees)
         )
-        executor._WORKER_SIDECARS.cache_clear()
+        segment_module._SIDECARS.cache_clear()
         result = reopened.run(packed, engine="vectorized")
         assert result.rows == expected
         assert any(c.source == "lanes" for c in result.chunks)

@@ -20,6 +20,7 @@ from repro.caterpillar.parser import parse_caterpillar
 from repro.engine import walk as fast
 from repro.engine.index import index_for, iter_bits
 from repro.engine.ir import evaluate_tree, lower_caterpillar
+from repro.engine.nodeset import apply_shift_groups
 from repro.oracle import generators as gen
 from repro.trees import parse_term
 
@@ -83,6 +84,11 @@ def _bits_to_nodes(index, bits):
     return {index.node_of[i] for i in iter_bits(bits)}
 
 
+def _move(index, direction, bits):
+    """Image of ``bits`` under one move, as every engine applies it."""
+    return apply_shift_groups(index.move_groups[direction], bits)
+
+
 def test_move_groups_down_is_one_preorder_shift(index):
     """First children sit at preorder id + 1, so DOWN to first children
     is a single shift group over the non-leaf mask."""
@@ -96,20 +102,20 @@ def test_move_groups_down_is_one_preorder_shift(index):
 def test_move_masks_match_tree_structure(index):
     root_bit = 1 << index.id_of[()]
     # DOWN is the caterpillar move: first child only (down right* spans all).
-    assert _bits_to_nodes(index, index.down_mask(root_bit)) == {(0,)}
+    assert _bits_to_nodes(index, _move(index, "down", root_bit)) == {(0,)}
     child_bit = 1 << index.id_of[(0,)]
-    assert _bits_to_nodes(index, index.up_mask(child_bit)) == {()}
-    assert _bits_to_nodes(index, index.right_mask(child_bit)) == {(1,)}
-    assert _bits_to_nodes(index, index.left_mask(child_bit)) == set()
-    assert index.up_mask(root_bit) == 0
+    assert _bits_to_nodes(index, _move(index, "up", child_bit)) == {()}
+    assert _bits_to_nodes(index, _move(index, "right", child_bit)) == {(1,)}
+    assert _bits_to_nodes(index, _move(index, "left", child_bit)) == set()
+    assert _move(index, "up", root_bit) == 0
 
 
 def test_move_groups_shifts_agree_with_parent_map(index):
     """Every (shift, mask) group moves each masked source to exactly
     the node the tree relation says it should reach."""
-    for direction, mover in index.moves.items():
+    for direction in ("up", "down", "left", "right"):
         for u, node in enumerate(index.node_of):
-            image = mover(1 << u)
+            image = _move(index, direction, 1 << u)
             neighbours = _bits_to_nodes(index, image)
             if direction == "up":
                 expected = {node[:-1]} if node else set()

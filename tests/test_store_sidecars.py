@@ -38,6 +38,7 @@ from repro.corpus import (
     xpath_query,
 )
 from repro.corpus import executor
+from repro.corpus import segment as segment_module
 from repro.corpus.segment import SIDECAR_VERSION, Segment
 from repro.engine.index import (
     IndexFormatError,
@@ -247,7 +248,7 @@ def test_packed_window_matches_fast_engine_and_naive_loop(tmp_path):
     store.ingest(iter(_trees(21)))
     with store:
         expected = _expected(store)
-        executor._WORKER_SIDECARS.cache_clear()
+        segment_module._SIDECARS.cache_clear()
         vectorized = store.run(PACKED_QUERIES, engine="vectorized")
         assert all(c.source == "lanes" for c in vectorized.chunks)
         assert vectorized.rows == expected
@@ -415,16 +416,14 @@ def loads(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    executor._WORKER_SIDECARS.cache_clear()
-    executor._WORKER_SEGMENTS.cache_clear()
-    executor._WORKER_CHUNKS.clear()
+    _clear_worker_state()
     monkeypatch.setattr(Segment, "tree", counted("trees", Segment.tree))
     monkeypatch.setattr(Segment, "trees", counted("trees", Segment.trees))
     monkeypatch.setattr(
         TreeIndex, "__init__", counted("builds", TreeIndex.__init__)
     )
     yield counts
-    executor._WORKER_CHUNKS.clear()
+    _clear_worker_state()
 
 
 def _source_store(tmp_path, loads):
@@ -632,7 +631,7 @@ def test_tree_path_chunks_keep_a_bounded_warm_map(tmp_path, monkeypatch):
     trees = _trees(48, seed=5)
     queries = PACKED_QUERIES[:2]
     expected = list(_naive_corpus_rows(trees, queries))
-    executor._WORKER_CHUNKS.clear()
+    _clear_worker_state()
     try:
         with CorpusStore.create(path, segment_size=16) as store:
             store.ingest(iter(trees))
@@ -646,10 +645,10 @@ def test_tree_path_chunks_keep_a_bounded_warm_map(tmp_path, monkeypatch):
                 result = store.run(queries, start=start, stop=stop)
                 assert list(result.rows) == expected[start:stop]
                 assert {c.source for c in result.chunks} == {"trees"}
-                sizes.append(len(executor._WORKER_CHUNKS[store.token]))
+                sizes.append(len(executor._WINDOWS))
         assert max(sizes) == sizes[-1] == executor._WARM_CHUNKS
     finally:
-        executor._WORKER_CHUNKS.clear()
+        _clear_worker_state()
 
 
 def test_reference_chunks_build_no_index_and_fast_ones_build_them_later(
@@ -681,11 +680,13 @@ def test_reference_chunks_build_no_index_and_fast_ones_build_them_later(
 
 
 def _clear_worker_state():
-    executor._WORKER_SIDECARS.cache_clear()
-    executor._WORKER_SEGMENTS.cache_clear()
-    executor._WORKER_SHARDS.cache_clear()
-    executor._ASKED_ONCE.cache_clear()
-    executor._WORKER_CHUNKS.clear()
+    for cache in (
+        segment_module._SEGMENTS,
+        segment_module._SIDECARS,
+        executor._WINDOWS,
+        executor._ASKED_ONCE,
+    ):
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -706,10 +707,11 @@ def stacks(monkeypatch):
 
 
 def _kept_windows():
-    """``(sidecar file, lo, hi)`` of every kept shard, oldest first."""
+    """``(start, stop)`` of every kept lane window, oldest first."""
     return [
-        (os.path.basename(path), lo, hi)
-        for _, path, _, lo, hi in executor._WORKER_SHARDS
+        (start, stop)
+        for _, start, stop, tag in executor._WINDOWS
+        if tag is not None
     ]
 
 
@@ -736,14 +738,64 @@ def test_a_window_is_stacked_on_its_first_two_requests_only(tmp_path, stacks):
         # A kept shard spends what a fresh one does: the quota
         # accounting does not see the cache.
         assert len({tuple(steps) for _, steps in asked}) == 1
-        first = ("seg-00000.rpridx", 0, 8)
-        assert _kept_windows() == [first]
+        assert _kept_windows() == [(0, 8)]
         assert ask(9, 13)[0] == 1  # asked once: stacked, not kept
         assert ask(16, 24)[0] == 1
-        assert _kept_windows() == [first]
+        assert _kept_windows() == [(0, 8)]
         assert ask(16, 24)[0] == 1  # the second request keeps it
-        assert _kept_windows() == [first, ("seg-00002.rpridx", 0, 8)]
+        assert _kept_windows() == [(0, 8), (16, 24)]
         assert ask(16, 24)[0] == 0
+
+
+def test_a_sidecar_opens_once_per_tag(tmp_path, monkeypatch):
+    """The store's sidecar check and the chunks' lane loads share one
+    open file: a first run over an 8-segment store opens each sidecar
+    once, and a run after one replace opens only the rewritten one."""
+    opened = []
+    init = Sidecar.__init__
+
+    def counting(self, path):
+        opened.append(os.path.basename(path))
+        init(self, path)
+
+    with CorpusStore.create(str(tmp_path / "s"), segment_size=4) as store:
+        store.ingest(iter(_trees(32, seed=6)))
+        monkeypatch.setattr(Sidecar, "__init__", counting)
+        result = store.run(PACKED_QUERIES)
+        assert {c.source for c in result.chunks} == {"lanes"}
+        assert sorted(opened) == [
+            f"seg-{i:05d}.rpridx" for i in range(8)
+        ]
+        store.replace(5, random_tree(4, value_pool=(1,), seed=2))
+        del opened[:]
+        result = store.run(PACKED_QUERIES)
+        assert {c.source for c in result.chunks} == {"lanes"}
+        assert result.rows == _expected(store)
+        assert opened == ["seg-00001.rpridx"]
+
+
+@pytest.mark.parametrize("first", ["lanes", "trees"])
+def test_handles_with_and_without_sidecars_keep_their_sources(
+    tmp_path, first
+):
+    """A sidecars-off handle of a store has the same token as a
+    sidecars-on one: in one process, either order, each answers like
+    the per-tree loop and reports its own source, also once the other
+    has kept its windows."""
+    path = str(tmp_path / "s")
+    trees = _trees(21, seed=17)
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(trees))
+    expected = _naive_corpus_rows(trees, PACKED_QUERIES)
+    order = ("lanes", "trees") if first == "lanes" else ("trees", "lanes")
+    for _ in range(3):
+        for source in order:
+            with CorpusStore.open(
+                path, readonly=True, sidecars=source == "lanes"
+            ) as store:
+                result = store.run(PACKED_QUERIES)
+            assert result.rows == expected
+            assert {c.source for c in result.chunks} == {source}
 
 
 def _tear(path):
@@ -772,7 +824,7 @@ def test_kept_shards_never_answer_for_changed_bytes(tmp_path, stacks, change):
         before = _expected(store)
         for _ in range(3):
             assert store.run(PACKED_QUERIES).rows == before
-        assert executor._WORKER_SHARDS
+        assert _kept_windows()
         if change == "replace":
             store.replace(2, random_tree(1, value_pool=(1,), seed=1))
         elif change == "compact":
@@ -794,6 +846,33 @@ def test_kept_shards_never_answer_for_changed_bytes(tmp_path, stacks, change):
                 assert result.rows == _expected(store)
                 if not readonly:
                     assert {c.source for c in result.chunks} == {"lanes"}
+
+
+def test_a_failed_replace_commit_leaves_no_entry_for_the_old_sidecar(
+    tmp_path, monkeypatch
+):
+    """A replace whose manifest commit fails has already swapped in the
+    new segment and sidecar, while the manifest on disk still names the
+    old sidecar's tag.  The old sidecar's open entry went with the
+    swap, so a reader opened from that manifest answers from the bytes
+    on disk, not from the lanes of a sidecar that is gone."""
+    path = str(tmp_path / "s")
+    with CorpusStore.create(path, segment_size=8) as store:
+        store.ingest(iter(_trees(21, seed=3)))
+        before = _expected(store)
+        for _ in range(2):  # every window's lanes parsed and kept
+            assert store.run(PACKED_QUERIES).rows == before
+
+        def disk_full():
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(store, "_save_manifest", disk_full)
+        with pytest.raises(OSError):
+            store.replace(2, random_tree(1, value_pool=(1,), seed=1))
+        with CorpusStore.open(path, readonly=True) as reader:
+            result = reader.run(PACKED_QUERIES)
+            assert result.rows == _expected(reader) != before
+            assert result.chunks[0].source == "trees"
 
 
 # ---------------------------------------------------------------------------

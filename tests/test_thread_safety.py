@@ -19,6 +19,7 @@ import pytest
 
 from repro.caching import KeyedLRU
 from repro.corpus import CorpusStore, executor
+from repro.corpus.segment import open_segment
 from repro.resilience.log import ResilienceLog
 from repro.trees import parse_term
 
@@ -201,83 +202,100 @@ class TestResilienceLogHammer:
 
 
 class TestWorkerCacheHammer:
-    def test_concurrent_chunk_warming_loses_no_window(self, monkeypatch):
-        """Server dispatch threads warm chunks into one process's
-        ``_WORKER_CHUNKS`` at once: no thread may trip over another's
-        insert, no window may be lost while the windows fit the map's
-        bound — not even the first ones, written while the threads race
-        to create a new token's map — and past the bound the map evicts
+    def test_concurrent_chunk_warming_loses_no_window(self, tmp_path):
+        """Server dispatch threads warm tree and lane windows of one
+        store into the process's one window map at once: no thread may
+        trip over another's insert, no window may be lost while the
+        windows fit the map's bound, and past the bound the map evicts
         down to it exactly."""
-
-        class SlowMap(KeyedLRU):
-            # Building a token's map yields the GIL, so every round the
-            # other threads also find no map and build their own: the
-            # race on a new token happens each time, not by luck.
-            def __init__(self, *args, **kwargs):
-                time.sleep(0.0005)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "KeyedLRU", SlowMap)
-        tree = parse_term("σ(δ, σ(δ))")
-        rounds = 50
-        tokens = [f"hammer-token-{r}" for r in range(rounds)]
-        calls = 3_000
         bound = executor._WARM_CHUNKS
-        share = bound // 4
-        resident_after = []
+        share = bound // 8  # per thread: a tree and a lane window each
+        rounds = 20
+        tree = parse_term("σ(δ, σ(δ))")
+        caches = (executor._WINDOWS, executor._ASKED_ONCE)
+        with CorpusStore.create(str(tmp_path / "s"), segment_size=64) as store:
+            store.ingest(tree for _ in range(64))
 
-        def snapshot():
-            # Runs once per round, after every thread's last insert and
-            # before any thread moves on to the next token.
-            token = tokens[len(resident_after)]
-            resident_after.append(set(executor._WORKER_CHUNKS.get(token, ())))
+            def task(start, stop):
+                return executor.ChunkTask(
+                    index=0, start=start, stop=stop, trees=None, queries=(),
+                    engine="fast", token=store.token,
+                    shard=store._shard_for(start, stop),
+                )
 
-        lined_up = threading.Barrier(4, timeout=30)
-        warmed = threading.Barrier(4, action=snapshot, timeout=30)
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+            def warm(task, lanes):
+                if lanes:  # kept from its second request on
+                    for _ in range(2):
+                        window = executor._lane_window(task)
+                        assert window.trees is None
+                        assert window.shard.lanes == task.stop - task.start
+                else:
+                    window = executor._tree_window(task, indexed=True)
+                    assert window.trees == (tree,) * (task.stop - task.start)
+                    assert window.shard.lanes == len(window.trees)
 
-        def warm(token, start):
-            trees, indexes = executor._warm_chunk(
-                token, start, start + 1, (tree,)
-            )
-            assert trees == (tree,) and len(indexes) == 1
+            tasks = [task(lo, lo + 1) for lo in range(bound // 2)]
+            everything = {
+                (store.token, t.start, t.stop, tag)
+                for t in tasks
+                for tag in (None, t.shard.sidecar.tag)
+            }
+            overflow = [
+                task(lo, lo + width)
+                for width in range(2, 6)
+                for lo in range(64 - width)
+            ]
+            resident_after = []
 
-        def fresh_tokens(worker_id):
-            # Every round all four threads meet a token none of them has
-            # seen and warm their own quarter of the bound exactly once:
-            # a window lost while the map is being created stays lost.
-            for token in tokens:
-                lined_up.wait()
-                for start in range(worker_id * share, (worker_id + 1) * share):
-                    warm(token, start)
-                warmed.wait()
+            def snapshot():
+                # Runs once per round, after every thread's last insert
+                # and before any thread starts the next round.
+                resident_after.append(set(executor._WINDOWS))
+                for cache in caches:
+                    cache.cache_clear()
 
-        def overflowing(worker_id):
-            # Every call a new window: the map evicts on each insert.
-            for i in range(calls):
-                warm(tokens[-1], bound + worker_id * calls + i)
+            warmed = threading.Barrier(4, action=snapshot, timeout=30)
 
-        try:
-            _run_threads(fresh_tokens, count=4)
-            _run_threads(overflowing, count=4)
-            held = set(executor._WORKER_CHUNKS)
-            chunks = executor._WORKER_CHUNKS[tokens[-1]]
-            resident, size = set(chunks), len(chunks)
-        finally:
-            sys.setswitchinterval(saved)
-            executor._WORKER_CHUNKS.clear()
-        everything = {(start, start + 1) for start in range(bound)}
+            def fitting(worker_id):
+                # Every round each thread warms its own tree and lane
+                # windows exactly once: a window lost to a racing insert
+                # stays lost.
+                mine = tasks[worker_id * share:(worker_id + 1) * share]
+                for _ in range(rounds):
+                    for item in mine:
+                        warm(item, lanes=False)
+                        warm(item, lanes=True)
+                    warmed.wait()
+
+            def overflowing(worker_id):
+                # Every call a new window: the map evicts on each insert.
+                for i, item in enumerate(overflow[worker_id::4]):
+                    warm(item, lanes=i % 2 == 1)
+
+            for cache in caches:
+                cache.cache_clear()
+            saved = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _run_threads(fitting, count=4)
+                _run_threads(overflowing, count=4)
+                resident, size = set(executor._WINDOWS), len(executor._WINDOWS)
+            finally:
+                sys.setswitchinterval(saved)
+                for cache in caches:
+                    cache.cache_clear()
+        assert len(everything) == bound
         lost = [
             (round_, len(everything - windows))
             for round_, windows in enumerate(resident_after)
             if windows != everything
         ]
         assert len(resident_after) == rounds and lost == []
-        assert held == {tokens[-1]}
         assert size == len(resident) == bound
         assert resident <= {
-            (start, start + 1) for start in range(bound, bound + 4 * calls)
+            (store.token, t.start, t.stop, tag)
+            for t in overflow
+            for tag in (None, t.shard.sidecar.tag)
         }
 
 
@@ -316,10 +334,14 @@ class TestShardLoadsPastTheCacheBound:
             sys.setswitchinterval(saved)
 
     def test_segment_loads_never_see_a_closed_mapping(self, shards):
-        self._load_everything(executor._shard_trees, shards)
+        def load(shard):
+            segment = open_segment(shard.store, shard.path, shard.generation)
+            return segment.trees(shard.lo, shard.hi)
+
+        self._load_everything(load, shards)
 
     def test_sidecar_lanes_never_see_a_closed_mapping(self, shards):
-        assert all(shard[4] is not None for shard in shards)
+        assert all(shard.sidecar is not None for shard in shards)
         self._load_everything(executor._shard_lanes, shards)
 
 
@@ -360,7 +382,7 @@ class TestSharedShards:
             return real(indexes)
 
         monkeypatch.setattr(executor, "StackedShard", counting)
-        for cache in (executor._WORKER_SHARDS, executor._ASKED_ONCE):
+        for cache in (executor._WINDOWS, executor._ASKED_ONCE):
             cache.cache_clear()
         runs, sizes = [], []
         with CorpusStore.create(str(tmp_path / "s"), segment_size=32) as store:
@@ -382,7 +404,7 @@ class TestSharedShards:
                     assert list(result.rows) == expected[start:stop]
                     assert [c.source for c in result.chunks] == ["lanes"]
                     runs.append(1)
-                    sizes.append(len(executor._WORKER_SHARDS))
+                    sizes.append(len(executor._WINDOWS))
 
             saved = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -390,7 +412,7 @@ class TestSharedShards:
                 _run_threads(hammer, count=4)
             finally:
                 sys.setswitchinterval(saved)
-                for cache in (executor._WORKER_SHARDS, executor._ASKED_ONCE):
+                for cache in (executor._WINDOWS, executor._ASKED_ONCE):
                     cache.cache_clear()
         assert len(runs) > 2 * len(windows)  # every window came back
         assert 0 < len(stacked) < len(runs)  # and kept shards answered
